@@ -6,6 +6,8 @@
 //   hypo_cli PROGRAM.hdl -q "..." --timeout-ms 500 --max-memory-mb 256
 //   hypo_cli PROGRAM.hdl --explain  # print the linear stratification
 //   hypo_cli PROGRAM.hdl --explain-plan  # premise order + rule bytecode
+//                                        # (tabled: per adornment, after
+//                                        # any -q queries compiled them)
 //   hypo_cli PROGRAM.hdl -q "..." --executor interp  # plan-walking oracle
 //   hypo_cli PROGRAM.hdl --proof -q "grad(tony)"   # print a derivation
 //   hypo_cli PROGRAM.hdl            # interactive: one query per line
@@ -268,7 +270,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (explain_plan) {
+  // The tabled engine plans per adornment as queries reach its rules, so
+  // with queries its plans print after them.
+  const bool plans_after_queries =
+      explain_plan && engine->name() == "tabled" && !queries.empty();
+  if (explain_plan && !plans_after_queries) {
     std::cout << engine->ExplainPlans();
     if (queries.empty()) return 0;
   }
@@ -295,6 +301,7 @@ int main(int argc, char** argv) {
       int code = RunQuery(engine.get(), symbols.get(), q);
       if (rc == 0) rc = code;
     }
+    if (plans_after_queries) std::cout << engine->ExplainPlans();
     return rc;
   }
   std::cerr << "enter queries, one per line (ctrl-d to quit)\n";

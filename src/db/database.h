@@ -230,9 +230,17 @@ class Database {
   /// through the stable vector object (bucket nodes never move in their
   /// unordered_map); sorted ranges are frozen permutation slices that
   /// inserts never touch (re-sorting happens only at the next seal).
+  ///
+  /// `report` (optional) learns whether a sorted range served the probe,
+  /// and its row count: the per-caller share of sorted_probes() and
+  /// merge_join_rows(), which are lifetime totals over every reader.
+  struct ProbeReport {
+    bool sorted = false;
+    size_t rows = 0;
+  };
   template <typename Fn>
   bool ForEachCandidate(PredicateId pred, ColumnMask mask, const Tuple& key,
-                        Fn&& fn) const {
+                        Fn&& fn, ProbeReport* report = nullptr) const {
     auto it = relations_.find(pred);
     if (it == relations_.end()) return true;
     const Relation& rel = it->second;
@@ -256,6 +264,10 @@ class Database {
         }
         case ProbeOutcome::kRange: {
           // Columnar-only: a frozen slice of the sorted permutation.
+          if (report != nullptr) {
+            report->sorted = true;
+            report->rows = outcome.count;
+          }
           for (size_t i = 0; i < outcome.count; ++i) {
             if (!fn(RowRef(&rel.store, outcome.rows[i]))) return false;
           }
@@ -614,6 +626,12 @@ class Database {
     /// True when the rows come from an index keyed on the probe mask, so
     /// masked columns are guaranteed to equal the key already.
     bool index_served() const { return index_served_; }
+
+    /// True when a sorted permutation range served the probe; size() is
+    /// then that range's row count. The caller's share of sorted_probes()
+    /// and merge_join_rows() (see ForEachCandidate's ProbeReport).
+    bool sorted_range() const { return mode_ == Mode::kRange; }
+    size_t size() const { return count_; }
 
     /// Storage row id at the cursor position, resolved once per row so
     /// column reads skip the mode dispatch.

@@ -971,6 +971,10 @@ struct BottomUpEngine::VmHost {
 
   const std::vector<ConstId>& Domain() { return eng->domain_; }
   Status CountEnumeration() { return eng->CountEnumeration(ctx->work); }
+  void CountSorted(size_t rows) {
+    ++ctx->work->stats->sorted_probes;
+    ctx->work->stats->merge_join_rows += static_cast<int64_t>(rows);
+  }
   void FlushOps(int64_t executed) {
     ctx->work->stats->vm_ops_executed += executed;
   }
@@ -1124,12 +1128,16 @@ StatusOr<bool> BottomUpEngine::WalkPlan(
         }
         return true;
       };
+      EngineStats* stats = ctx->work->stats;
       if (designated) {
-        ForEachBaseCandidate(*ctx->delta, atom, *binding, try_tuple);
-      } else if (ForEachBaseCandidate(*base_, atom, *binding, try_tuple) &&
-                 ForEachBaseCandidate(state->ext, atom, *binding, try_tuple) &&
+        ForEachBaseCandidate(*ctx->delta, atom, *binding, try_tuple, stats);
+      } else if (ForEachBaseCandidate(*base_, atom, *binding, try_tuple,
+                                      stats) &&
+                 ForEachBaseCandidate(state->ext, atom, *binding, try_tuple,
+                                      stats) &&
                  ctx->vis_plus != nullptr) {
-        ForEachBaseCandidate(*ctx->vis_plus, atom, *binding, try_tuple);
+        ForEachBaseCandidate(*ctx->vis_plus, atom, *binding, try_tuple,
+                             stats);
       }
       HYPO_RETURN_IF_ERROR(error);
       if (stopped) return false;
@@ -1261,8 +1269,8 @@ bool BottomUpEngine::ExistsMatch(const State& state, const Atom& atom,
     }
     return true;
   };
-  if (ForEachBaseCandidate(*base_, atom, *binding, probe)) {
-    ForEachBaseCandidate(state.ext, atom, *binding, probe);
+  if (ForEachBaseCandidate(*base_, atom, *binding, probe, work->stats)) {
+    ForEachBaseCandidate(state.ext, atom, *binding, probe, work->stats);
   }
   return found;
 }
@@ -1702,20 +1710,15 @@ std::string BottomUpEngine::ExplainPlans() const {
 }
 
 const EngineStats& BottomUpEngine::stats() const {
-  // Index builds live in the Databases themselves: the shared base, each
+  // Probes are counted at this engine's own scan sites. Index builds and
+  // sorts live in the Databases themselves: the shared base, each
   // memoized state's model, and the per-round deltas already retired.
-  stats_.index_builds = retired_index_builds_.load(std::memory_order_relaxed) +
-                        base_->index_builds();
+  CurrentIndexTotals().ReportSince(index_base_, &stats_);
+  stats_.index_builds +=
+      retired_index_builds_.load(std::memory_order_relaxed);
   stats_.memo_bytes = interner_.ApproxBytes() + ctx_interner_.ApproxBytes();
-  stats_.sorted_probes = base_->sorted_probes();
-  stats_.merge_join_rows = base_->merge_join_rows();
-  stats_.index_sort_micros = base_->index_sort_micros();
   stats_.arena_bytes = base_->ArenaBytes();
   states_.ForEach([this](const State& state) {
-    stats_.index_builds += state.ext.index_builds();
-    stats_.sorted_probes += state.ext.sorted_probes();
-    stats_.merge_join_rows += state.ext.merge_join_rows();
-    stats_.index_sort_micros += state.ext.index_sort_micros();
     stats_.arena_bytes += state.ext.ArenaBytes();
     stats_.memo_bytes += StateBytes(state);
   });
@@ -1732,9 +1735,17 @@ const EngineStats& BottomUpEngine::stats() const {
   return stats_;
 }
 
+IndexTotals BottomUpEngine::CurrentIndexTotals() const {
+  IndexTotals totals;
+  totals.Add(*base_);
+  states_.ForEach([&totals](const State& state) { totals.Add(state.ext); });
+  return totals;
+}
+
 void BottomUpEngine::ResetStats() {
   stats_ = EngineStats();
   retired_index_builds_.store(0, std::memory_order_relaxed);
+  index_base_ = CurrentIndexTotals();
   if (pool_ != nullptr) pool_->ResetCounters();
 }
 

@@ -525,9 +525,13 @@ class BottomUpEngine : public Engine {
 
   mutable EngineStats stats_;
   /// Index builds on per-round delta relations already destroyed;
-  /// stats() adds the live databases' counts on top. Atomic: child-state
+  /// stats() adds the live databases' growth on top. Atomic: child-state
   /// computations on workers retire their own deltas concurrently.
   std::atomic<int64_t> retired_index_builds_{0};
+  /// Index totals of the base and the memoized states' models; stats()
+  /// reports their growth since ResetStats().
+  IndexTotals CurrentIndexTotals() const;
+  IndexTotals index_base_;
   bool initialized_ = false;
 };
 

@@ -258,6 +258,27 @@ struct EngineStats {
   }
 };
 
+/// Index-build and sort totals of the databases an engine reads. These
+/// Database counters are lifetime figures shared by every reader, so the
+/// engines snapshot them at ResetStats() and report the growth.
+struct IndexTotals {
+  int64_t builds = 0;
+  int64_t sort_micros = 0;
+
+  void Add(const Database& db) {
+    builds += db.index_builds();
+    sort_micros += db.index_sort_micros();
+  }
+  /// Writes the growth since `base` into `stats`, clamped at zero: a
+  /// database dropped since then (an evicted state) takes its totals
+  /// with it.
+  void ReportSince(const IndexTotals& base, EngineStats* stats) const {
+    stats->index_builds = std::max<int64_t>(0, builds - base.builds);
+    stats->index_sort_micros =
+        std::max<int64_t>(0, sort_micros - base.sort_micros);
+  }
+};
+
 /// Arms an engine's QueryGuard from the governance fields of its options
 /// for the duration of one public entry point, and records the completion
 /// gauges (deadline headroom, byte peak, cancellation count) into the

@@ -55,13 +55,18 @@ ColumnMask StaticProbeMask(const Atom& atom, const std::vector<bool>& bound) {
 
 BodyPlan BodyPlan::Build(const std::vector<Premise>& premises,
                          const Atom* head, int num_vars,
-                         const Database* db) {
+                         const Database* db,
+                         const std::vector<bool>* entry_bound,
+                         const RuleBase* idb) {
   BodyPlan plan;
-  std::vector<bool> bound(num_vars, false);
+  std::vector<bool> bound = entry_bound != nullptr
+                                ? *entry_bound
+                                : std::vector<bool>(num_vars, false);
 
   // 1. Positive premises, greedily cheapest-first: fewest unbound
   // variables, then most bound columns (index probes beat scans), then
-  // smallest stored relation, then source order.
+  // extensional before defined (top-down callers only), then smallest
+  // stored relation, then source order.
   std::vector<int> positive;
   for (int i = 0; i < static_cast<int>(premises.size()); ++i) {
     if (premises[i].kind == PremiseKind::kPositive) positive.push_back(i);
@@ -71,18 +76,25 @@ BodyPlan BodyPlan::Build(const std::vector<Premise>& premises,
     int best = -1;
     int best_unbound = 0;
     int best_cols = 0;
+    bool best_defined = false;
     int best_count = 0;
     for (int i : positive) {
       if (used[i]) continue;
+      const PredicateId pred = premises[i].atom.predicate;
       int u = CountUnbound(premises[i].atom, bound);
       int cols = CountBoundColumns(premises[i].atom, bound);
-      int count = db == nullptr ? 0 : db->CountFor(premises[i].atom.predicate);
+      bool defined = idb != nullptr && idb->IsDefined(pred);
+      int count = db == nullptr ? 0 : db->CountFor(pred);
       if (best == -1 || u < best_unbound ||
           (u == best_unbound &&
-           (cols > best_cols || (cols == best_cols && count < best_count)))) {
+           (cols > best_cols ||
+            (cols == best_cols &&
+             (defined < best_defined ||
+              (defined == best_defined && count < best_count)))))) {
         best = i;
         best_unbound = u;
         best_cols = cols;
+        best_defined = defined;
         best_count = count;
       }
     }

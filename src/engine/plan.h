@@ -6,6 +6,7 @@
 
 #include "ast/query.h"
 #include "ast/rule.h"
+#include "ast/rulebase.h"
 #include "ast/symbol_table.h"
 #include "db/database.h"
 
@@ -51,8 +52,9 @@ struct PlanStep {
 ///
 /// Positive-premise cost model (greedy, lexicographic): fewest unbound
 /// variables first (selectivity), then most bound columns (an indexed
-/// probe beats a scan), then — when `db` is supplied — smallest stored
-/// relation, then source order for determinism.
+/// probe beats a scan), then — when `idb` is supplied — extensional
+/// before defined premises, then — when `db` is supplied — smallest
+/// stored relation, then source order for determinism.
 struct BodyPlan {
   std::vector<PlanStep> steps;
 
@@ -60,9 +62,20 @@ struct BodyPlan {
   /// `head` (optional) contributes variables that must be enumerated if no
   /// premise binds them. `db` (optional) supplies extensional relation
   /// cardinalities as an ordering tie-break.
+  ///
+  /// Top-down callers (the tabled engine) plan per adornment: `entry_bound`
+  /// (optional, num_vars entries) marks the variables bound before the
+  /// body runs — the head variables at the call's bound columns — and
+  /// `idb` (optional) ranks a premise whose predicate it defines after an
+  /// extensional one of equal boundness: a defined relation has no stored
+  /// cardinality, so a zero CountFor must not make it look cheapest.
+  /// Callers that pass neither (bottom-up, the stratified prover) get
+  /// exactly the head-unbound plan.
   static BodyPlan Build(const std::vector<Premise>& premises,
                         const Atom* head, int num_vars,
-                        const Database* db = nullptr);
+                        const Database* db = nullptr,
+                        const std::vector<bool>* entry_bound = nullptr,
+                        const RuleBase* idb = nullptr);
 };
 
 /// One line per step: premise order, kind, predicate, and probe mask.

@@ -7,6 +7,7 @@
 #include "db/database.h"
 #include "db/overlay.h"
 #include "engine/binding.h"
+#include "engine/engine.h"
 
 namespace hypo {
 
@@ -44,12 +45,24 @@ inline ColumnMask BoundSignature(const Atom& atom, const Binding& binding,
 ///
 /// Snapshot-bounded and realloc-safe per ForEachCandidate's contract:
 /// `fn` may insert into the same relation while the scan is in flight.
+///
+/// `stats` (optional) is credited with the probe when a sorted range
+/// serves it — the caller's own sorted_probes / merge_join_rows, which
+/// the database's lifetime totals cannot give when readers share it.
 template <typename Fn>
 bool ForEachBaseCandidate(const Database& db, const Atom& atom,
-                          const Binding& binding, Fn&& fn) {
+                          const Binding& binding, Fn&& fn,
+                          EngineStats* stats = nullptr) {
   Tuple key;
   ColumnMask mask = BoundSignature(atom, binding, &key);
-  return db.ForEachCandidate(atom.predicate, mask, key, std::forward<Fn>(fn));
+  Database::ProbeReport report;
+  const bool finished = db.ForEachCandidate(
+      atom.predicate, mask, key, std::forward<Fn>(fn), &report);
+  if (stats != nullptr && report.sorted) {
+    ++stats->sorted_probes;
+    stats->merge_join_rows += static_cast<int64_t>(report.rows);
+  }
+  return finished;
 }
 
 /// The overlay-additions counterpart of ForEachBaseCandidate: invokes

@@ -239,22 +239,28 @@ ContextId StratifiedProver::CurrentContext() const {
   return overlay_->context_id();
 }
 
+IndexTotals StratifiedProver::CurrentIndexTotals() const {
+  IndexTotals totals;
+  totals.Add(*base_);
+  for (const auto& [key, model] : delta_models_) totals.Add(*model);
+  return totals;
+}
+
+void StratifiedProver::ResetStats() {
+  stats_ = EngineStats();
+  index_base_ = CurrentIndexTotals();
+}
+
 const EngineStats& StratifiedProver::stats() const {
   if (overlay_ != nullptr) {
     const ContextInterner& contexts = overlay_->context_interner();
     stats_.contexts_interned = contexts.num_contexts();
     stats_.context_transitions = contexts.transitions();
     stats_.context_cache_hits = contexts.transition_hits();
-    stats_.index_builds = base_->index_builds();
-    stats_.sorted_probes = base_->sorted_probes();
-    stats_.merge_join_rows = base_->merge_join_rows();
-    stats_.index_sort_micros = base_->index_sort_micros();
+    // Probes are counted at this engine's own scan sites.
+    CurrentIndexTotals().ReportSince(index_base_, &stats_);
     stats_.arena_bytes = base_->ArenaBytes();
     for (const auto& [key, model] : delta_models_) {
-      stats_.index_builds += model->index_builds();
-      stats_.sorted_probes += model->sorted_probes();
-      stats_.merge_join_rows += model->merge_join_rows();
-      stats_.index_sort_micros += model->index_sort_micros();
       stats_.arena_bytes += model->ArenaBytes();
     }
   }
@@ -395,6 +401,10 @@ struct StratifiedProver::VmHost {
 
   const std::vector<ConstId>& Domain() { return eng->domain_; }
   Status CountEnumeration() { return eng->CountEnumeration(); }
+  void CountSorted(size_t rows) {
+    ++eng->stats_.sorted_probes;
+    eng->stats_.merge_join_rows += static_cast<int64_t>(rows);
+  }
   void FlushOps(int64_t executed) {
     eng->stats_.vm_ops_executed += executed;
   }
@@ -809,14 +819,15 @@ StatusOr<bool> StratifiedProver::MatchPositive(
     }
     return true;
   };
-  bool keep = ForEachBaseCandidate(*base_, atom, *binding, try_tuple);
+  bool keep =
+      ForEachBaseCandidate(*base_, atom, *binding, try_tuple, &stats_);
   if (keep) {
     // Overlay additions via the first-argument access path; deletions are
     // rejected by Init, so every added tuple is visible.
     keep = ForEachAddedCandidate(*overlay_, atom, *binding, try_tuple);
   }
   if (keep && model_ext != nullptr) {
-    ForEachBaseCandidate(*model_ext, atom, *binding, try_tuple);
+    ForEachBaseCandidate(*model_ext, atom, *binding, try_tuple, &stats_);
   }
   HYPO_RETURN_IF_ERROR(error);
   if (stopped) return false;
@@ -890,10 +901,10 @@ bool StratifiedProver::ExistsStored(const Atom& atom, Binding* binding,
   };
   // First-argument access path over base and overlay additions; the Δ
   // model uses the base scan since it is a plain Database.
-  if (ForEachBaseCandidate(*base_, atom, *binding, probe) &&
+  if (ForEachBaseCandidate(*base_, atom, *binding, probe, &stats_) &&
       ForEachAddedCandidate(*overlay_, atom, *binding, probe) &&
       model_ext != nullptr) {
-    ForEachBaseCandidate(*model_ext, atom, *binding, probe);
+    ForEachBaseCandidate(*model_ext, atom, *binding, probe, &stats_);
   }
   return found;
 }

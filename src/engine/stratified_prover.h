@@ -56,7 +56,7 @@ class StratifiedProver : public Engine {
   StatusOr<std::vector<Tuple>> Answers(const Query& query) override;
 
   const EngineStats& stats() const override;
-  void ResetStats() override { stats_ = EngineStats(); }
+  void ResetStats() override;
   std::string name() const override { return "stratified-prover"; }
 
   /// Premise order, probe masks, and (VM mode) disassembled bytecode for
@@ -252,6 +252,10 @@ class StratifiedProver : public Engine {
   // stats() refreshes the derived fields (context counters, memo bytes)
   // on read; the hot path only touches the plain counters.
   mutable EngineStats stats_;
+  /// Index totals of the base and the Δ models; stats() reports their
+  /// growth since ResetStats().
+  IndexTotals CurrentIndexTotals() const;
+  IndexTotals index_base_;
   bool initialized_ = false;
 };
 

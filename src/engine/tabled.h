@@ -2,6 +2,7 @@
 #define HYPO_ENGINE_TABLED_H_
 
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -33,11 +34,26 @@ namespace hypo {
 /// do not drag the evaluation through the exponential lattice of addition
 /// states — only the states a proof actually visits are materialized.
 ///
+/// A defined premise with free variables is one *call*, keyed by
+/// (predicate, values of its bound columns, hypothetical context). Its
+/// answer table holds the stored tuples plus every head tuple its rules
+/// derive with the call's bound columns as entry bindings — rules are
+/// planned and compiled per adornment (which head columns are bound), so
+/// bindings pass sideways instead of every free variable ranging over
+/// dom(R, DB). A negated call tests its table for emptiness.
+///
+/// Recursion is resolved at the SCC leader (DESIGN.md "Tabled
+/// evaluation"): a goal or call met again while on the proof stack, or
+/// after failing inside a still-open SCC, answers false / its answers so
+/// far and joins that SCC; the leader — the oldest member — re-runs the
+/// SCC until no table grows, then completes every member (failures
+/// included) at once. Each pass expands each member once, so the work per
+/// stratum stays polynomial.
+///
 /// Negation-as-failure is sound here because negation is stratified: along
 /// any call chain the negation stratum never increases, and a NAF subquery
 /// lives strictly below every in-progress goal outside its own subtree, so
-/// its answer is always definite. (Failures are cached under the usual
-/// tabling completion condition; see StratifiedProver for the discipline.)
+/// its answer is always definite.
 ///
 /// This engine accepts every rulebase of Definition 3 + stratified NAF —
 /// no linearity needed — and serves as the oracle that both other engines
@@ -55,17 +71,23 @@ class TabledEngine : public Engine {
 
   /// Reconstructs a well-founded derivation tree for a provable ground
   /// fact (NotFound if the fact is not derivable). Reconstruction reuses
-  /// the memo tables, so it is cheap after a Prove call; it chooses the
-  /// first non-circular justification it finds.
+  /// the memo and call tables, so it is cheap after a Prove call; it
+  /// chooses the first non-circular justification it finds.
   StatusOr<ProofNode> ExplainFact(const Fact& fact);
 
   const EngineStats& stats() const override;
-  void ResetStats() override { stats_ = EngineStats(); }
+  void ResetStats() override;
   std::string name() const override { return "tabled"; }
 
-  /// Premise order, probe masks, and (VM mode) disassembled head-bound
-  /// bytecode for every rule.
+  /// Premise order, probe masks, and (VM mode) disassembled bytecode for
+  /// every compiled (rule, adornment) pair, e.g. `needs/2 [bf]`. A rule
+  /// no query has reached yet is shown under its ground adornment.
   std::string ExplainPlans() const override;
+
+  /// Base scans (predicate, bound-column mask) of every plan compiled so
+  /// far, so a sealing caller indexes them from the next epoch on.
+  std::vector<std::pair<PredicateId, ColumnMask>> BaseProbeSignatures()
+      const override;
 
   /// The governance fields (timeout_micros, max_memory_bytes, cancel) may
   /// be changed between queries — e.g. to retry a tripped query with a
@@ -75,16 +97,21 @@ class TabledEngine : public Engine {
 
   /// Shares settled goal-memo entries with a server-lifetime MemoBoard:
   /// local misses consult the board before expanding, and definite
-  /// results (kTrue, context-free kFalse) are published back.
+  /// results (kTrue, completed kFalse) are published back.
   void AttachMemoBoard(MemoBoard* board) override;
 
  private:
   struct GoalEntry {
-    enum class Status : uint8_t { kInProgress, kTrue, kFalse } status;
-    int depth;
+    /// kPendingFalse: failed while its SCC is still open — false for now,
+    /// completed (kFalse) or dropped when the SCC leader finishes.
+    enum class Status : uint8_t { kInProgress, kTrue, kFalse, kPendingFalse };
+    Status status;
+    /// Discovery index while in progress or pending; 0 once settled.
+    int64_t dfn;
   };
   /// Memo key: interned goal fact x interned hypothetical context. Both
   /// ids are O(1) to obtain at lookup time — no per-goal vector build.
+  /// Call tables use the same key over their interned call pattern.
   struct GoalKey {
     FactId fact;
     ContextId context;
@@ -100,13 +127,116 @@ class TabledEngine : public Engine {
     }
   };
 
+  /// One predicate's rules planned (and, under the VM, compiled) for one
+  /// adornment. Built lazily on first use; dropped by Init().
+  struct AdornedRules {
+    PredicateId pred = kInvalidPredicate;
+    std::string adornment;              // Per head column: 'b' or 'f'.
+    std::vector<int> rules;             // DefinitionOf(pred).
+    std::vector<BodyPlan> plans;        // Parallel to `rules`.
+    std::vector<vm::Program> programs;  // VM executor only.
+  };
+
+  /// The answer table of one call. Heap-allocated and never moved, so
+  /// suspended scans may hold `&answers` while the table grows.
+  struct CallTable {
+    enum class State : uint8_t {
+      kIncomplete,  // Answers are sound but possibly partial: re-evaluate.
+      kInProgress,  // On the proof stack.
+      kPending,     // Evaluated inside an SCC that is still open.
+      kComplete,
+    };
+    struct RowHash {
+      const CallTable* table;
+      size_t operator()(uint32_t row) const;
+    };
+    struct RowEq {
+      const CallTable* table;
+      bool operator()(uint32_t a, uint32_t b) const;
+    };
+
+    CallTable(const AdornedRules* adorned, Fact call_pattern)
+        : rules(adorned),
+          pattern(std::move(call_pattern)),
+          arity(pattern.args.size()),
+          index(8, RowHash{this}, RowEq{this}) {}
+    CallTable(const CallTable&) = delete;
+    CallTable& operator=(const CallTable&) = delete;
+
+    size_t num_answers() const { return answers.size() / arity; }
+
+    const AdornedRules* rules;
+    Fact pattern;                  // kUnbound at the free columns.
+    size_t arity;
+    std::vector<ConstId> answers;  // Row-major, `arity` per answer.
+    std::unordered_set<uint32_t, RowHash, RowEq> index;  // Dedup by row.
+    State state = State::kIncomplete;
+    int64_t dfn = 0;  // Discovery index while in progress or pending.
+  };
+
+  /// A member of a still-open SCC: a pending-false goal, or a call.
+  struct PendingEntry {
+    GoalKey goal;
+    CallTable* call;  // Null for a goal.
+    FactId board_fact;
+    ContextId board_ctx;
+  };
+
   /// Decides R, state ⊢ goal for a ground atom. `depth` is the DFS depth;
-  /// `min_pruned` accumulates the shallowest in-progress goal pruned on.
-  StatusOr<bool> ProveGoal(const Fact& goal, int depth, int* min_pruned);
+  /// `low` accumulates the smallest discovery index of an open goal or
+  /// call the evaluation depended on (Tarjan's lowlink).
+  StatusOr<bool> ProveGoal(const Fact& goal, int depth, int64_t* low);
+
+  /// One pass over `adorned`'s rules with `args` (kUnbound at the free
+  /// columns) as the entry bindings, handing each derived head tuple to
+  /// `emit`. Returns false iff `emit` stopped the pass by returning false.
+  StatusOr<bool> RunRules(const AdornedRules& adorned, const Tuple& args,
+                          int depth, int64_t* low,
+                          const std::function<bool(const Tuple&)>& emit);
+
+  /// Resolves the call `pattern` (kUnbound at free columns) in the current
+  /// context: a complete table as is, an open one with the answers found
+  /// so far (joining its SCC), otherwise evaluated now.
+  StatusOr<CallTable*> SolveCall(const Fact& pattern, int depth,
+                                 int64_t* low);
+  Status EvaluateCall(CallTable* table, int depth, int64_t* low);
+  /// Adds the visible stored tuples matching the call (inference rule 1).
+  void SeedStoredAnswers(CallTable* table);
+  void AddAnswer(CallTable* table, const std::vector<ConstId>& row);
+
+  /// Leader bookkeeping after one pass of the goal or call with discovery
+  /// index `dfn`, whose SCC members were pushed above `mark`: true iff it
+  /// leads a non-trivial SCC in which some table grew since `growth` — the
+  /// members are then reset for another pass.
+  bool RerunScc(int64_t dfn, size_t mark, int64_t low, int64_t growth);
+  /// Marks the members above `mark` settled: goals false, calls complete.
+  void CompleteScc(size_t mark);
+  /// Drops the members above `mark`: goals forgotten, calls incomplete.
+  void ResetScc(size_t mark);
+  /// After an abort: forgets pending goals, discards every call table
+  /// that is not complete, so nothing partial is ever served.
+  void DiscardIncomplete();
+
+  /// Counts one goal or call expansion and enforces the limits.
+  Status CountExpansion(int depth);
+
+  /// Planned rules of `pred` under adornment `bound`, built on first use.
+  const AdornedRules& Adorned(PredicateId pred,
+                              const std::vector<bool>& bound);
+  /// The all-bound adornment, cached per predicate for ground goals.
+  const AdornedRules& GroundRules(PredicateId pred);
+  /// Builds (without caching) the plans and programs of one adornment.
+  std::unique_ptr<AdornedRules> BuildAdorned(
+      PredicateId pred, const std::vector<bool>& bound) const;
+  /// Records the base scans of `plan` (whose entry-bound variables are
+  /// `bound`) as probe signatures.
+  void RecordProbeSignatures(const BodyPlan& plan,
+                             const std::vector<Premise>& premises,
+                             std::vector<bool> bound);
 
   StatusOr<bool> WalkPlan(const std::vector<Premise>& premises,
                           const BodyPlan& plan, size_t step,
-                          Binding* binding, int depth, int* min_pruned,
+                          Binding* binding, int depth, int64_t* low,
                           const std::function<StatusOr<bool>(
                               const Binding&)>& sink);
 
@@ -122,26 +252,37 @@ class TabledEngine : public Engine {
   template <typename EmitFn>
   StatusOr<bool> RunProgram(const std::vector<Premise>& premises,
                             const vm::Program& prog, int depth,
-                            int* min_pruned, vm::FrameStack::Frame* frame,
+                            int64_t* low, vm::FrameStack::Frame* frame,
                             const EmitFn& emit);
 
-  /// Enumerates the free variables of `atom` over the domain and proves
-  /// each grounding; invokes `next` for bindings that hold.
+  /// Matches a positive defined premise: a ground one is one goal, one
+  /// with free variables one call whose answers bind them; invokes
+  /// `next` per binding that holds.
   StatusOr<bool> MatchDefined(const Atom& atom, Binding* binding, int depth,
-                              int* min_pruned,
+                              int64_t* low,
                               const std::function<StatusOr<bool>()>& next);
 
-  /// True iff some grounding of `atom` extending `binding` is provable
-  /// (used for the ∄ reading of negated premises).
+  /// True iff some instance of `atom` extending `binding` is provable
+  /// (the ∄ reading of negated premises): a goal when ground, a stored
+  /// probe for an extensional atom, otherwise the emptiness of a call.
   StatusOr<bool> ExistsProvable(const Atom& atom, Binding* binding,
-                                int depth, int* min_pruned);
+                                int depth, int64_t* low);
+
+  /// True iff a visible stored tuple matches `atom` under `binding`.
+  bool ExistsStored(const Atom& atom, Binding* binding);
+
+  /// Evaluates a query body, collecting answers (or stopping at the first
+  /// witness when `answers` is null).
+  Status RunQuery(const Query& query, std::vector<Tuple>* answers,
+                  bool* found);
 
   Status EnsureConstants(const Query& query);
   Status EnsureFactConstants(const Fact& fact);
   Status CheckLimits();
 
-  /// Approximate bytes held by the goal memo and both interners — O(1),
-  /// read by the QueryGuard memory budget at metering frequency.
+  /// Approximate bytes held by the goal memo, the call tables and both
+  /// interners — O(1), read by the QueryGuard memory budget at metering
+  /// frequency.
   int64_t MemoryBytes() const;
 
   /// Counts one domain-grounding iteration and enforces max_steps on
@@ -180,14 +321,17 @@ class TabledEngine : public Engine {
                                      visiting,
                                  std::vector<ProofNode>* children);
 
-  const RuleBase* rulebase_;
+const RuleBase* rulebase_;
   const Database* base_;
   EngineOptions options_;
 
-  std::vector<BodyPlan> rule_plans_;
-  /// Head-bound bytecode, one program per rule (VM executor only;
-  /// empty under ExecutorKind::kInterp). Rebuilt with rule_plans_.
-  std::vector<vm::Program> rule_programs_;
+  /// Adorned plans by "pred:adornment"; ground_rules_ indexes the
+  /// all-bound ones by predicate. Both reset by Init().
+  std::unordered_map<std::string, std::unique_ptr<AdornedRules>> adorned_;
+  std::vector<const AdornedRules*> ground_rules_;
+  /// Base scan signatures of every plan built so far; survives Init() so
+  /// an epoch turn prepares what the previous epoch's queries probed.
+  std::set<std::pair<PredicateId, ColumnMask>> probe_signatures_;
   /// Reusable VM frames, depth-indexed for re-entrant subproofs. Safe as
   /// an engine member: the engine serves one query at a time.
   vm::FrameStack vm_frames_;
@@ -198,6 +342,13 @@ class TabledEngine : public Engine {
   FactInterner interner_;
   std::unique_ptr<OverlayDatabase> overlay_;
   std::unordered_map<GoalKey, GoalEntry, GoalKeyHash> goal_memo_;
+  std::unordered_map<GoalKey, std::unique_ptr<CallTable>, GoalKeyHash>
+      calls_;
+  int64_t call_bytes_ = 0;  // Approximate bytes held by calls_.
+  /// Members of the SCCs still open on the proof stack, oldest first.
+  std::vector<PendingEntry> pending_;
+  int64_t dfn_counter_ = 0;  // Discovery index source.
+  int64_t growth_ = 0;       // Bumped per new true goal or call answer.
   QueryGuard guard_;
 
   // Persistent cross-query cache (optional; see AttachMemoBoard).
@@ -211,6 +362,8 @@ class TabledEngine : public Engine {
   // stats() refreshes the derived fields (context counters, memo bytes)
   // on read; the hot path only touches the plain counters.
   mutable EngineStats stats_;
+  /// The base's index totals at the last ResetStats().
+  IndexTotals index_base_;
   bool initialized_ = false;
 };
 

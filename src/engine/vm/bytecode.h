@@ -18,7 +18,7 @@ namespace vm {
 /// time which registers are bound at every op, so execution never asks.
 
 /// One opcode of a compiled rule body. A program is a straight line of
-/// ops; kScan and kEnumDomain are choice points (they enumerate
+/// ops; kScan, kCall and kEnumDomain are choice points (they enumerate
 /// candidates), every other op is a test. An op that fails transfers
 /// control to `Op::prev_choice` (the nearest earlier choice point), which
 /// resumes its enumeration — classic backtracking join, flattened.
@@ -37,6 +37,14 @@ enum class OpCode : uint8_t {
   /// Ground subproof of a defined (IDB) premise — tabled ProveGoal /
   /// stratified ProveGround. All variables bound by preceding ops.
   kProveCall,
+  /// A defined premise with free variables, resolved as one tabled call
+  /// (tabled engine only): the host solves the call keyed by the premise's
+  /// bound columns and opens its answer table as the scan's only segment,
+  /// so the op binds the free variables per answer exactly like kScan
+  /// (same key/full/post actions). Choice point. The table may still be
+  /// growing (a recursive call consuming the answers found so far); the
+  /// cursor follows it.
+  kCall,
   /// Ground hypothetical premise test; the plan's preceding kEnumDomain
   /// ops have bound every variable of the atom and its additions.
   kHypoTest,
@@ -87,9 +95,9 @@ struct Op {
   /// ends the program.
   int16_t prev_choice = -1;
   PredicateId pred = kInvalidPredicate;
-  /// kScan: statically known bound-column signature of the probe — equal
-  /// by construction to the runtime BoundSignature the interpreter would
-  /// compute at this point. kNegProbe/kNegGround: the signature the
+  /// kScan/kCall: statically known bound-column signature of the probe —
+  /// equal by construction to the runtime BoundSignature the interpreter
+  /// would compute at this point. kNegProbe/kNegGround: the signature the
   /// host's runtime probe will use (recorded so PrepareIndex can cover
   /// it). Others: 0.
   ColumnMask mask = 0;
@@ -103,14 +111,15 @@ struct Op {
   /// designated one in source order, so candidates present in the delta
   /// are skipped (each instantiation fires in exactly one version).
   bool exclude_delta = false;
-  /// kScan: probe-key recipe (masked columns, ascending).
+  /// kScan/kCall: probe-key recipe (masked columns, ascending).
   std::vector<KeyAction> key;
-  /// kScan: per-column actions over all columns, column order.
+  /// kScan/kCall: per-column actions over all columns, column order.
   std::vector<MatchAction> full;
-  /// kScan: actions over the columns NOT covered by `mask` only — an
+  /// kScan/kCall: actions over the columns NOT covered by `mask` only — an
   /// index-served candidate already matches the masked columns exactly
   /// (hash buckets are keyed by the masked values; sorted ranges are
-  /// binary-searched on them), so their rechecks are skipped.
+  /// binary-searched on them; answer tables are keyed by the call's bound
+  /// columns), so their rechecks are skipped.
   std::vector<MatchAction> post;
   /// kNegCall: free-variable occurrences in argument order, duplicates
   /// kept (the interpreter collects them the same way).
@@ -132,9 +141,10 @@ struct Program {
   int delta_premise = -1;
   /// Head-bound programs (top-down engines): match actions applied to the
   /// goal's argument tuple before the program runs, seeding the entry-
-  /// bound registers. Mirrors Binding::MatchTuple over the rule head; an
-  /// action failing means the rule cannot produce the goal. Empty for
-  /// entry-unbound programs.
+  /// bound registers. Mirrors Binding::MatchTuple over the rule head's
+  /// bound columns (all of them for a ground goal, the call's bound
+  /// columns under an adornment); an action failing means the rule cannot
+  /// produce the goal. Empty for entry-unbound programs.
   std::vector<MatchAction> head_match;
 };
 

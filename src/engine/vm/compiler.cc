@@ -109,6 +109,7 @@ Program Compile(const CompileInput& in) {
     // Head match: constants check, a variable's first occurrence loads,
     // later occurrences check — Binding::MatchTuple over the head atom.
     for (int i = 0; i < static_cast<int>(in.head->args.size()); ++i) {
+      if (!in.head_bound.empty() && !in.head_bound[i]) continue;
       const Term& t = in.head->args[i];
       MatchAction a;
       a.col = static_cast<uint16_t>(i);
@@ -136,8 +137,9 @@ Program Compile(const CompileInput& in) {
   int last_choice = -1;
   auto push = [&](Op op) {
     op.prev_choice = static_cast<int16_t>(last_choice);
-    const bool choice =
-        op.code == OpCode::kScan || op.code == OpCode::kEnumDomain;
+    const bool choice = op.code == OpCode::kScan ||
+                        op.code == OpCode::kCall ||
+                        op.code == OpCode::kEnumDomain;
     prog.ops.push_back(std::move(op));
     if (choice) last_choice = static_cast<int>(prog.ops.size()) - 1;
   };
@@ -158,7 +160,14 @@ Program Compile(const CompileInput& in) {
         op.designated = step.premise_index == in.delta_premise;
         op.exclude_delta = in.delta_premise >= 0 && !op.designated &&
                            step.premise_index < in.delta_premise;
-        if (mode_of(step.premise_index) == PremiseMode::kProve) {
+        const PremiseMode mode = mode_of(step.premise_index);
+        if (mode == PremiseMode::kCall && !AllBound(atom, bound)) {
+          // Defined premise with free variables: one tabled call whose
+          // answer table the host opens as the scan's segment.
+          op.code = OpCode::kCall;
+          BuildScanActions(atom, bound, &op);
+          push(std::move(op));
+        } else if (mode != PremiseMode::kStorage) {
           // Defined premise: enumerate each free occurrence (duplicates
           // kept) from the domain, then one ground subproof.
           for (VarIndex v : FreeOccurrences(atom, bound)) push_enum(v);
@@ -206,7 +215,7 @@ Program Compile(const CompileInput& in) {
         Op op;
         op.premise_index = static_cast<int16_t>(step.premise_index);
         op.pred = atom.predicate;
-        if (mode_of(step.premise_index) == PremiseMode::kProve) {
+        if (mode_of(step.premise_index) != PremiseMode::kStorage) {
           op.code = OpCode::kNegCall;
           op.free_vars = FreeOccurrences(atom, bound);
         } else if (AllBound(atom, bound)) {
@@ -246,6 +255,8 @@ const char* Name(OpCode c) {
       return "enum_domain";
     case OpCode::kProveCall:
       return "prove_call";
+    case OpCode::kCall:
+      return "call";
     case OpCode::kHypoTest:
       return "hypo_test";
     case OpCode::kNegGround:
@@ -303,10 +314,12 @@ std::string Disassemble(const Program& program,
       out << " p" << op.premise_index << "="
           << symbols.PredicateName(premises[op.premise_index].atom.predicate);
     }
-    if (op.code == OpCode::kScan || op.code == OpCode::kNegProbe) {
+    const bool scan_like =
+        op.code == OpCode::kScan || op.code == OpCode::kCall;
+    if (scan_like || op.code == OpCode::kNegProbe) {
       out << " mask=0x" << std::hex << op.mask << std::dec;
     }
-    if (op.code == OpCode::kScan) {
+    if (scan_like) {
       out << " key=[";
       for (size_t k = 0; k < op.key.size(); ++k) {
         if (k > 0) out << ",";

@@ -15,8 +15,11 @@ namespace vm {
 /// How the runtime establishes a premise's truth. kStorage premises probe
 /// stored relations (base database, derived models, overlay additions);
 /// kProve premises call back into the engine's prover (tabled ProveGoal,
-/// stratified ProveGround for Σ-partition predicates).
-enum class PremiseMode : uint8_t { kStorage, kProve };
+/// stratified ProveGround for Σ-partition predicates), enumerating the
+/// domain for a positive premise's free variables; kCall premises (tabled
+/// engine) are proved like kProve when ground and otherwise resolved as
+/// one tabled call (OpCode::kCall) — no domain enumeration.
+enum class PremiseMode : uint8_t { kStorage, kProve, kCall };
 
 /// Everything the compiler needs to lower one BodyPlan. The plan's step
 /// order is taken as-is; the compiler only tracks static boundness to
@@ -31,6 +34,11 @@ struct CompileInput {
   /// at entry — exactly the boundness Binding::MatchTuple(head, goal)
   /// establishes in the interpreter. Mutually exclusive with entry_bound.
   const Atom* head = nullptr;
+  /// With `head`: the adornment, one entry per head column, true = bound
+  /// by the call. Only bound columns get head_match actions and only
+  /// their variables are bound at entry. Empty = every column (a ground
+  /// goal).
+  std::vector<bool> head_bound;
   /// Registers bound before the program starts (e.g. head variables bound
   /// by the goal match in the top-down engines). Empty = none. Static
   /// boundness is exact: entry bindings are all-or-nothing per engine, so

@@ -15,16 +15,17 @@ namespace vm {
 
 /// Cursor state for one kScan op: up to kMaxSegments storage segments
 /// (base database, derived model, overlay additions, DRed vis_plus),
-/// visited in order. Segments are declared at open time but each one is
-/// probed lazily when the cursor first reaches it — the interpreter
-/// probes each database's index only when the previous scan exhausts, and
-/// the probe counters (and the snapshot bound, for models that grow while
-/// scanned) must match.
+/// visited in order — or, for a kCall op, the call's answer table.
+/// Segments are declared at open time but each one is probed lazily when
+/// the cursor first reaches it — the interpreter probes each database's
+/// index only when the previous scan exhausts, and the probe counters
+/// (and the snapshot bound, for models that grow while scanned) must
+/// match.
 struct ScanState {
   static constexpr int kMaxSegments = 4;
 
   struct Segment {
-    enum class Kind : uint8_t { kNone, kDb, kAdded };
+    enum class Kind : uint8_t { kNone, kDb, kAdded, kAnswers };
     Kind kind = Kind::kNone;
     const Database* db = nullptr;               // kDb
     const OverlayDatabase* overlay = nullptr;   // kAdded
@@ -32,6 +33,7 @@ struct ScanState {
     Database::Scan scan;                        // kDb
     const std::vector<Tuple>* all = nullptr;    // kAdded
     const std::vector<RowId>* subset = nullptr; // kAdded, mask != 0
+    const std::vector<ConstId>* answers = nullptr;  // kAnswers, row-major
     size_t pos = 0;
   };
 
@@ -61,6 +63,14 @@ struct ScanState {
     s.opened = false;
     s.all = nullptr;
     s.subset = nullptr;
+    s.pos = 0;
+  }
+  /// A kCall answer table: rows of the op's arity, row-major. The vector
+  /// must outlive the scan; it may grow while the scan is suspended.
+  void AddAnswers(const std::vector<ConstId>* answers) {
+    Segment& s = segs[num_segs++];
+    s.kind = Segment::Kind::kAnswers;
+    s.answers = answers;
     s.pos = 0;
   }
 };
@@ -162,7 +172,8 @@ inline bool MatchActions(const std::vector<MatchAction>& actions,
 ///
 /// The host supplies storage, engine callbacks and metering:
 ///   Status OpenScan(const Op&, const std::vector<ConstId>& regs,
-///                   ScanState*);              // declare segments
+///                   ScanState*);              // declare segments (kScan,
+///                                             // and kCall: the answers)
 ///   bool AcceptRow(const Op&, const Row&);    // pre-match filter+counters
 ///   StatusOr<bool> TestGround(const Op&, const std::vector<ConstId>&);
 ///   StatusOr<bool> ProveCall(const Op&, const std::vector<ConstId>&);
@@ -171,6 +182,8 @@ inline bool MatchActions(const std::vector<MatchAction>& actions,
 ///   StatusOr<bool> Emit(const std::vector<ConstId>& regs);
 ///   const std::vector<ConstId>& Domain();
 ///   Status CountEnumeration();
+///   void CountSorted(size_t rows);            // a sorted range served a
+///                                             // base/model probe
 ///   void FlushOps(int64_t executed);          // vm_ops_executed delta
 template <typename Host>
 StatusOr<bool> Run(const Program& prog, Host* host,
@@ -190,7 +203,8 @@ StatusOr<bool> Run(const Program& prog, Host* host,
     const Op& op = prog.ops[pc];
     ++ops.executed;
     switch (op.code) {
-      case OpCode::kScan: {
+      case OpCode::kScan:
+      case OpCode::kCall: {
         ScanState& st = (*states)[pc].scan;
         if (forward) {
           st.Clear();
@@ -204,6 +218,7 @@ StatusOr<bool> Run(const Program& prog, Host* host,
             if (!seg.opened) {
               seg.scan.Open(*seg.db, op.pred, op.mask, st.key);
               seg.opened = true;
+              if (seg.scan.sorted_range()) host->CountSorted(seg.scan.size());
             }
             const std::vector<MatchAction>& actions =
                 seg.scan.index_served() ? op.post : op.full;
@@ -213,6 +228,18 @@ StatusOr<bool> Run(const Program& prog, Host* host,
                               MatchActions(actions, row, regs);
               seg.scan.Next();
               if (ok) {
+                matched = true;
+                break;
+              }
+            }
+          } else if (seg.kind == ScanState::Segment::Kind::kAnswers) {
+            // Answers match the call's bound (masked) columns by
+            // construction. Dynamic bound: a recursive call's table grows
+            // while this scan is suspended, and the cursor follows it.
+            while ((seg.pos + 1) * op.arity <= seg.answers->size()) {
+              const ConstId* row = seg.answers->data() + seg.pos * op.arity;
+              ++seg.pos;
+              if (MatchActions(op.post, row, regs)) {
                 matched = true;
                 break;
               }

@@ -1,0 +1,263 @@
+// Cost is part of correctness: on the graph families where top-down
+// search used to fall off an exponential cliff (chains, cycles, shortcut
+// DAGs, complete digraphs with an unreachable target, both recursion
+// directions) and on the registrar shape the server benchmark replays,
+// the tabled engine (both executors) must agree with the bottom-up engine
+// AND answer every query within a step budget polynomial in |DB|.
+//
+// Steps are goals_expanded + enumerations — exactly what max_steps
+// meters. The budget is kStepsPerFact * |DB| with |DB| the number of
+// stored facts: a linear bound, fixed from the measured counts (printed
+// below) with headroom, far below the quadratic-and-worse cost of
+// grounding a defined premise over the domain.
+
+#include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "engine/bottom_up.h"
+#include "engine/tabled.h"
+#include "parser/parser.h"
+
+namespace hypo {
+namespace {
+
+/// Steps per stored fact a single tabled query may spend. The largest
+/// measured ratio is 3.0: an open query on a cycle, whose SCC leader runs
+/// three passes over the cycle's n calls (the last one confirming that no
+/// table grew). See EXPERIMENTS.md E10.
+constexpr int64_t kStepsPerFact = 4;
+
+const char* const kRightReach =
+    "reach(X, Y) <- edge(X, Y).\n"
+    "reach(X, Z) <- edge(X, Y), reach(Y, Z).";
+const char* const kLeftReach =
+    "reach(X, Y) <- edge(X, Y).\n"
+    "reach(X, Z) <- reach(X, Y), edge(Y, Z).";
+
+std::string N(int i) { return "n" + std::to_string(i); }
+
+struct Family {
+  std::string name;
+  /// Edges over nodes n0..n<nodes-1>; every family also stores
+  /// edge(t, n0), so `t` is in the domain yet unreachable.
+  int nodes;
+  std::vector<std::pair<int, int>> edges;
+};
+
+Family Chain(int n) {
+  Family f{"chain" + std::to_string(n), n + 1, {}};
+  for (int i = 0; i < n; ++i) f.edges.emplace_back(i, i + 1);
+  return f;
+}
+
+Family Cycle(int n) {
+  Family f{"cycle" + std::to_string(n), n, {}};
+  for (int i = 0; i < n; ++i) f.edges.emplace_back(i, (i + 1) % n);
+  return f;
+}
+
+/// A chain plus a shortcut i -> i+3 at every third node: many paths per
+/// pair, so a search without tabling re-proves shared suffixes.
+Family ShortcutDag(int n) {
+  Family f{"shortcut" + std::to_string(n), n + 1, {}};
+  for (int i = 0; i < n; ++i) {
+    f.edges.emplace_back(i, i + 1);
+    if (i % 3 == 0 && i + 3 <= n) f.edges.emplace_back(i, i + 3);
+  }
+  return f;
+}
+
+Family Complete(int n) {
+  Family f{"K" + std::to_string(n), n, {}};
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if (i != j) f.edges.emplace_back(i, j);
+    }
+  }
+  return f;
+}
+
+class CostTest : public ::testing::Test {
+ protected:
+  std::shared_ptr<SymbolTable> symbols_ = std::make_shared<SymbolTable>();
+
+  RuleBase Parse(const char* text) {
+    auto rules = ParseRuleBase(text, symbols_);
+    EXPECT_TRUE(rules.ok()) << rules.status();
+    return std::move(rules).value();
+  }
+
+  Query Q(const std::string& text) {
+    auto query = ParseQuery(text, symbols_.get());
+    EXPECT_TRUE(query.ok()) << text << ": " << query.status();
+    return std::move(query).value();
+  }
+
+  /// Sorted answers (a closed query answers {()} or {}), plus the steps
+  /// the engine spent on this query alone.
+  StatusOr<std::vector<Tuple>> Run(Engine* engine, const Query& query,
+                                   int64_t* steps) {
+    engine->ResetStats();
+    std::vector<Tuple> rows;
+    if (query.num_vars() == 0) {
+      HYPO_ASSIGN_OR_RETURN(bool holds, engine->ProveQuery(query));
+      if (holds) rows.emplace_back();
+    } else {
+      HYPO_ASSIGN_OR_RETURN(rows, engine->Answers(query));
+    }
+    std::sort(rows.begin(), rows.end());
+    *steps = engine->stats().goals_expanded + engine->stats().enumerations;
+    return rows;
+  }
+
+  /// Runs every query on a fresh tabled engine per executor and on the
+  /// bottom-up engine; answers must agree and each tabled query must stay
+  /// within the budget.
+  void Check(const std::string& label, const RuleBase& rules,
+             const Database& db, const std::vector<std::string>& queries) {
+    const int64_t budget = kStepsPerFact * db.size();
+    EngineOptions options;
+    // A runaway search trips at once instead of burning the default 500M
+    // steps; the assertion below is the real gate.
+    options.max_steps = 10 * budget;
+    for (const std::string& text : queries) {
+      SCOPED_TRACE(label + ": " + text);
+      Query query = Q(text);
+      EngineOptions bottom_up_options;
+      BottomUpEngine bottom_up(&rules, &db, bottom_up_options);
+      int64_t bottom_up_steps = 0;
+      auto expected = Run(&bottom_up, query, &bottom_up_steps);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      int64_t tabled_steps[2] = {0, 0};
+      for (ExecutorKind executor :
+           {ExecutorKind::kVm, ExecutorKind::kInterp}) {
+        EngineOptions o = options;
+        o.executor = executor;
+        TabledEngine tabled(&rules, &db, o);
+        int64_t& steps = tabled_steps[executor == ExecutorKind::kVm ? 0 : 1];
+        auto got = Run(&tabled, query, &steps);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(*got, *expected)
+            << (executor == ExecutorKind::kVm ? "vm" : "interp")
+            << " disagrees with bottom-up";
+        EXPECT_LE(steps, budget)
+            << "tabled steps not within " << kStepsPerFact << " x |DB|";
+      }
+      EXPECT_EQ(tabled_steps[0], tabled_steps[1])
+          << "the executors searched differently";
+      std::printf("[cost] %-18s |DB|=%-6lld %-36s tabled=%-6lld "
+                  "(%.2f/fact) bottomup=%lld answers=%zu\n",
+                  label.c_str(), static_cast<long long>(db.size()),
+                  text.c_str(), static_cast<long long>(tabled_steps[0]),
+                  static_cast<double>(tabled_steps[0]) /
+                      static_cast<double>(db.size()),
+                  static_cast<long long>(bottom_up_steps), expected->size());
+    }
+  }
+
+  void CheckFamily(const char* program, const char* direction,
+                   const Family& family) {
+    RuleBase rules = Parse(program);
+    Database db(symbols_);
+    for (const auto& [from, to] : family.edges) {
+      ASSERT_TRUE(db.Insert("edge", {N(from), N(to)}).ok());
+    }
+    ASSERT_TRUE(db.Insert("edge", {"t", N(0)}).ok());
+    const int last = family.nodes - 1;
+    const int mid = family.nodes / 2;
+    Check(family.name + "/" + direction, rules, db,
+          {"reach(n0, X)", "reach(n3, X)", "reach(X, " + N(mid) + ")",
+           "reach(n0, " + N(last) + ")", "reach(" + N(last) + ", n0)",
+           "reach(n0, t)", "reach(X, t)"});
+  }
+};
+
+TEST_F(CostTest, ReachOverChainsCyclesAndShortcutDags) {
+  for (const char* program : {kRightReach, kLeftReach}) {
+    const char* direction = program == kRightReach ? "right" : "left";
+    for (int n : {20, 60, 500}) {
+      CheckFamily(program, direction, Chain(n));
+      CheckFamily(program, direction, Cycle(n));
+      CheckFamily(program, direction, ShortcutDag(n));
+    }
+  }
+}
+
+// The query that used to burn the default 500M-step budget in ~37 s:
+// path(n3, X) over a 50-edge chain.
+TEST_F(CostTest, ChainPathFromTheRoadmap) {
+  RuleBase rules = Parse(
+      "path(X, Y) <- edge(X, Y).\n"
+      "path(X, Z) <- edge(X, Y), path(Y, Z).");
+  Database db(symbols_);
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(db.Insert("edge", {N(i), N(i + 1)}).ok());
+  }
+  Check("chain50/path", rules, db, {"path(n3, X)"});
+}
+
+TEST_F(CostTest, CompleteDigraphWithUnreachableTarget) {
+  for (const char* program : {kRightReach, kLeftReach}) {
+    const char* direction = program == kRightReach ? "right" : "left";
+    for (int n = 6; n <= 16; ++n) {
+      RuleBase rules = Parse(program);
+      Database db(symbols_);
+      Family family = Complete(n);
+      for (const auto& [from, to] : family.edges) {
+        ASSERT_TRUE(db.Insert("edge", {N(from), N(to)}).ok());
+      }
+      ASSERT_TRUE(db.Insert("edge", {"t", N(0)}).ok());
+      Check(family.name + "/" + direction, rules, db,
+            {"reach(n0, t)", "reach(X, t)", "reach(n0, X)",
+             "reach(" + N(n - 1) + ", n0)"});
+    }
+  }
+}
+
+// The registrar shape of the server benchmark (Bonner's Examples 1-3):
+// transitive prerequisites, per-student gaps under negation, and course
+// availability with a second negation on top, 1000 students.
+TEST_F(CostTest, RegistrarShape) {
+  RuleBase rules = Parse(
+      "needs(C, X) <- prereq(C, X).\n"
+      "needs(C, X) <- prereq(C, Y), needs(Y, X).\n"
+      "missing(S, C) <- student(S), needs(C, P), ~take(S, P).\n"
+      "open(S, C) <- student(S), course(C), ~missing(S, C), ~take(S, C).");
+  Database db(symbols_);
+  const int kCourses = 64;
+  const int kStudents = 1000;
+  auto C = [](int c) { return "c" + std::to_string(c); };
+  auto S = [](int s) { return "s" + std::to_string(s); };
+  // Four levels of 16 courses; each course above the first level has two
+  // prerequisites one level down.
+  for (int c = 0; c < kCourses; ++c) {
+    ASSERT_TRUE(db.Insert("course", {C(c)}).ok());
+    if (c < 16) continue;
+    const int below = (c / 16 - 1) * 16;
+    ASSERT_TRUE(db.Insert("prereq", {C(c), C(below + c % 16)}).ok());
+    ASSERT_TRUE(
+        db.Insert("prereq", {C(c), C(below + (c * 7 + 3) % 16)}).ok());
+  }
+  // Each student has taken eight courses, spread over the levels.
+  for (int s = 0; s < kStudents; ++s) {
+    ASSERT_TRUE(db.Insert("student", {S(s)}).ok());
+    for (int k = 0; k < 8; ++k) {
+      ASSERT_TRUE(
+          db.Insert("take", {S(s), C((s * 13 + k * 7) % kCourses)}).ok());
+    }
+  }
+  Check("registrar", rules, db,
+        {"needs(c60, X)", "needs(X, c3)", "missing(s5, C)",
+         "missing(S, c60)", "open(s5, c40)", "open(s5, C)",
+         "open(s7, c40)[add: take(s7, c24)]",
+         "missing(s9, c60)[add: take(s9, c3)]"});
+}
+
+}  // namespace
+}  // namespace hypo

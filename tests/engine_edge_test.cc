@@ -221,10 +221,14 @@ TEST_F(EngineEdgeTest, ExtensionalEnumerationIsMetered) {
 }
 
 TEST_F(EngineEdgeTest, NegatedEnumerationIsMetered) {
-  // ∄-reading of a negated extensional premise with three free variables:
-  // ExistsProvable grounds domain^3 instances, none of which expand a
-  // goal. The enumeration counter must trip max_steps here too.
-  RuleBase rules = Parse("q <- ~e0(X, Y, Z).");
+  // ∄-reading of a negated defined premise with three free variables
+  // whose only rule grounds them over the domain (an addition they alone
+  // occur in): the call's table costs domain^3 iterations, none of which
+  // expand a goal. The enumeration counter must trip max_steps here too.
+  RuleBase rules = Parse(
+      "q <- ~r(X, Y, Z).\n"
+      "r(X, Y, Z) <- ghost[add: e0(X, Y, Z)].\n"
+      "p <- ~e0(X, Y, Z).");
   Database db(symbols_);
   for (int i = 0; i < 60; ++i) {
     ASSERT_TRUE(db.Insert("el", {"c" + std::to_string(i)}).ok());
@@ -235,6 +239,15 @@ TEST_F(EngineEdgeTest, NegatedEnumerationIsMetered) {
   auto r = engine.ProveQuery(Q("q"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_GT(engine.stats().enumerations, options.max_steps);
+
+  // A negated extensional premise is one storage probe, not domain^3
+  // ground tests.
+  TabledEngine cheap(&rules, &db, options);
+  auto p = cheap.ProveQuery(Q("p"));
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_TRUE(*p);
+  EXPECT_EQ(cheap.stats().enumerations, 0);
 }
 
 TEST_F(EngineEdgeTest, RepeatedOutOfDomainConstantRebuildsOnce) {

@@ -182,6 +182,13 @@ TEST_F(FailpointTest, DifferentialAbortAnywhereSweep) {
     }
     std::vector<std::pair<std::string, int64_t>> sites = registry.HitSites();
     ASSERT_FALSE(sites.empty()) << kind << " crossed no failpoint sites";
+    if (std::string(kind) == "tabled") {
+      // Open queries and negations with free variables run as tabled
+      // calls; an abort while a call table is open must be swept too.
+      EXPECT_TRUE(std::any_of(sites.begin(), sites.end(), [](const auto& s) {
+        return s.first == "tabled.call_table";
+      })) << "the sweep never reached a call table";
+    }
 
     for (const auto& [site, count] : sites) {
       for (int64_t nth : std::set<int64_t>{1, count / 2 + 1, count}) {

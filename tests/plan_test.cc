@@ -202,6 +202,7 @@ TEST(PlanTest, CompiledBytecodeAgreesWithPlan) {
       for (const vm::Op& op : prog.ops) {
         switch (op.code) {
           case vm::OpCode::kScan:
+          case vm::OpCode::kCall:
             EXPECT_FALSE(seen_neg_op);
             ASSERT_TRUE(has_mask[op.premise_index]);
             EXPECT_EQ(op.mask, step_mask[op.premise_index]);

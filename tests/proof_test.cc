@@ -126,5 +126,35 @@ TEST_F(ProofTest, DeletionRecordedInProof) {
       << "the hypothetical deletion must be shown:\n" << rendered;
 }
 
+TEST_F(ProofTest, RegistrarExplanationWalksCallTables) {
+  // The registrar's missing(S, C) joins a transitive prerequisite closure
+  // under negation. Explaining it must follow needs(C, P)'s answer table
+  // and probe take/2, never ground P (or X) over the domain.
+  RuleBase rules = Parse(
+      "needs(C, X) <- prereq(C, X).\n"
+      "needs(C, X) <- prereq(C, Y), needs(Y, X).\n"
+      "missing(S, C) <- student(S), needs(C, P), ~take(S, P).");
+  Database db(symbols_);
+  ASSERT_TRUE(ParseFactsInto(
+                  "prereq(c3, c2). prereq(c2, c1). prereq(c1, c0).\n"
+                  "student(s1). student(s2). take(s1, c2). take(s1, c1).\n"
+                  "take(s2, c0). course(c0). course(c1). course(c2).",
+                  &db)
+                  .ok());
+  for (ExecutorKind executor : {ExecutorKind::kVm, ExecutorKind::kInterp}) {
+    EngineOptions options;
+    options.executor = executor;
+    TabledEngine engine(&rules, &db, options);
+    auto proof = engine.ExplainFact(F("missing(s1, c3)", symbols_.get()));
+    ASSERT_TRUE(proof.ok()) << proof.status();
+    EXPECT_EQ(engine.stats().enumerations, 0)
+        << "explaining grounded a variable over the domain";
+    std::string rendered = ProofToString(*proof, *symbols_);
+    // s1 lacks c0, three prerequisites down.
+    EXPECT_NE(rendered.find("needs(c3, c0)"), std::string::npos) << rendered;
+    EXPECT_NE(rendered.find("~take(s1, c0)"), std::string::npos) << rendered;
+  }
+}
+
 }  // namespace
 }  // namespace hypo
