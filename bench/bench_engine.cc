@@ -1,13 +1,13 @@
-// Ablation — the §5.2.2 bottom-up machinery: naive vs rule-level
-// filtering vs tuple-level delta semi-naive fixpoint evaluation.
+// Engine gauges: the §5.2.2 bottom-up fixpoint machinery, demand,
+// parallel rounds, incremental repair, overlay-heavy tabled proofs and the
+// server's cross-query and journaled paths.
 //
-// DESIGN.md calls out the Δ-model evaluation strategy as a design choice:
-// PROVE_Δ re-applies rules to a fixpoint. `EvalStrategy::kRuleFilter`
-// skips rules none of whose body predicates changed in the previous
-// round but still rejoins full relations; `kDeltaSeminaive` additionally
-// restricts one positive premise per rule version to the tuples derived
-// in the previous round (per-round delta relations + generalized hash
-// indexes), which turns O(rounds × full-join) chains into O(delta-join).
+// PROVE_Δ re-applies rules to a fixpoint. The bottom-up engine restricts
+// one positive premise per rule version to the tuples derived in the
+// previous round (per-round delta relations + generalized hash indexes),
+// which turns O(rounds × full-join) chains into O(delta-join); the
+// naive and rule-filter ablations it replaced are recorded in
+// BENCH_engine.json and EXPERIMENTS.md.
 
 #include <benchmark/benchmark.h>
 
@@ -43,26 +43,14 @@ ProgramFixture MakeTransitiveClosure(int n) {
   return fixture;
 }
 
-const char* StrategyName(EvalStrategy strategy) {
-  switch (strategy) {
-    case EvalStrategy::kNaive: return "naive";
-    case EvalStrategy::kRuleFilter: return "rule-filter";
-    case EvalStrategy::kDeltaSeminaive: return "delta";
-  }
-  return "?";
-}
-
 void BM_TransitiveClosureFixpoint(benchmark::State& state) {
-  EvalStrategy strategy = static_cast<EvalStrategy>(state.range(0));
-  int n = static_cast<int>(state.range(1));
+  int n = static_cast<int>(state.range(0));
   ProgramFixture fixture = MakeTransitiveClosure(n);
-  EngineOptions options;
-  options.eval_strategy = strategy;
   Query query = bench::MustParseQuery(fixture, "connected");
   int64_t rounds = 0;
   int64_t probes = 0;
   for (auto _ : state) {
-    BottomUpEngine engine(&fixture.rules, &fixture.db, options);
+    BottomUpEngine engine(&fixture.rules, &fixture.db);
     auto got = engine.ProveQuery(query);
     HYPO_CHECK(got.ok() && *got);
     benchmark::DoNotOptimize(*got);
@@ -71,18 +59,15 @@ void BM_TransitiveClosureFixpoint(benchmark::State& state) {
   }
   state.counters["rounds"] = static_cast<double>(rounds);
   state.counters["join_probes"] = static_cast<double>(probes);
-  state.SetLabel(std::string(StrategyName(strategy)) +
-                 " path n=" + std::to_string(n));
+  state.SetLabel("path n=" + std::to_string(n));
 }
-BENCHMARK(BM_TransitiveClosureFixpoint)
-    ->ArgsProduct({{0, 1, 2}, {8, 16, 32, 64}});
+BENCHMARK(BM_TransitiveClosureFixpoint)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 /// A linear recursion over a long chain: each round derives exactly one
 /// new fact, the worst case for whole-relation rejoining and the best
 /// case for the delta rewrite.
 void BM_ChainReachFixpoint(benchmark::State& state) {
-  EvalStrategy strategy = static_cast<EvalStrategy>(state.range(0));
-  int n = static_cast<int>(state.range(1));
+  int n = static_cast<int>(state.range(0));
   ProgramFixture fixture;
   auto rules = ParseRuleBase(
       "reach(X) <- start(X).\n"
@@ -95,23 +80,19 @@ void BM_ChainReachFixpoint(benchmark::State& state) {
   HYPO_CHECK(fixture.db.Insert("start", {"v0"}).ok());
   HYPO_CHECK(
       fixture.db.Insert("goal", {"v" + std::to_string(n - 1)}).ok());
-  EngineOptions options;
-  options.eval_strategy = strategy;
   Query query = bench::MustParseQuery(fixture, "done");
   int64_t probes = 0;
   for (auto _ : state) {
-    BottomUpEngine engine(&fixture.rules, &fixture.db, options);
+    BottomUpEngine engine(&fixture.rules, &fixture.db);
     auto got = engine.ProveQuery(query);
     HYPO_CHECK(got.ok() && *got);
     benchmark::DoNotOptimize(*got);
     probes = engine.stats().join_probes;
   }
   state.counters["join_probes"] = static_cast<double>(probes);
-  state.SetLabel(std::string(StrategyName(strategy)) +
-                 " chain n=" + std::to_string(n));
+  state.SetLabel("chain n=" + std::to_string(n));
 }
-BENCHMARK(BM_ChainReachFixpoint)
-    ->ArgsProduct({{0, 1, 2}, {64, 256, 1024}});
+BENCHMARK(BM_ChainReachFixpoint)->Arg(64)->Arg(256)->Arg(1024);
 
 /// A forest of `k` disjoint chains of length `len`: node `c<i>_<j>` is
 /// the j-th node of chain i. Eager transitive closure must close every
@@ -363,29 +344,23 @@ BENCHMARK(BM_IncrementalRetract)->ArgsProduct({{0, 1}, {4, 16, 64}});
 
 void BM_FrameAxiomModels(benchmark::State& state) {
   // The §5.1 frame axioms stress the Δ-model fixpoint inside the
-  // stratified prover: one Δ model per machine step. The prover supports
-  // naive vs rule-filter (it treats kDeltaSeminaive as kRuleFilter).
-  EvalStrategy strategy = static_cast<EvalStrategy>(state.range(0));
-  int n = static_cast<int>(state.range(1));
+  // stratified prover (rule-filter rounds): one Δ model per machine step.
+  int n = static_cast<int>(state.range(0));
   std::vector<int> input;
   for (int i = 0; i < n - 4; ++i) input.push_back(i % 2 == 0 ? kSym1 : kSym0);
   input.push_back(kSym1);  // Keep the count of '1's even overall? No: any.
   auto encoding = EncodeCascade({MakeContainsOneMachine()}, input, n);
   HYPO_CHECK(encoding.ok()) << encoding.status();
-  EngineOptions options;
-  options.eval_strategy = strategy;
   Query query = bench::MustParseQuery(encoding->program, "accept");
   for (auto _ : state) {
-    StratifiedProver prover(&encoding->program.rules, &encoding->program.db,
-                            options);
+    StratifiedProver prover(&encoding->program.rules, &encoding->program.db);
     auto got = prover.ProveQuery(query);
     HYPO_CHECK(got.ok() && *got);
     benchmark::DoNotOptimize(*got);
   }
-  state.SetLabel(std::string(StrategyName(strategy)) +
-                 " frame axioms N=" + std::to_string(n));
+  state.SetLabel("frame axioms N=" + std::to_string(n));
 }
-BENCHMARK(BM_FrameAxiomModels)->ArgsProduct({{0, 1}, {8, 12}});
+BENCHMARK(BM_FrameAxiomModels)->Arg(8)->Arg(12);
 
 /// Overlay-heavy tabled workloads: goal-directed proofs whose memo keys
 /// live under deep hypothetical contexts. Every ProveGoal call builds a

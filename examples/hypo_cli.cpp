@@ -8,7 +8,6 @@
 //   hypo_cli PROGRAM.hdl --explain-plan  # premise order + rule bytecode
 //                                        # (tabled: per adornment, after
 //                                        # any -q queries compiled them)
-//   hypo_cli PROGRAM.hdl -q "..." --executor interp  # plan-walking oracle
 //   hypo_cli PROGRAM.hdl --proof -q "grad(tony)"   # print a derivation
 //   hypo_cli PROGRAM.hdl            # interactive: one query per line
 //
@@ -155,23 +154,18 @@ int main(int argc, char** argv) {
     std::cerr << "usage: " << argv[0]
               << " PROGRAM.hdl [-q QUERY]... [--engine NAME] [--demand]"
                  " [--threads N] [--timeout-ms N] [--max-memory-mb N]"
-                 " [--executor vm|interp] [--explain-plan]\n";
+                 " [--explain-plan]\n";
     return 2;
   }
   // A mistyped storage backend must fail fast, not silently evaluate on
-  // the default backend; same for a mistyped HYPO_EXEC executor.
+  // the default backend.
   if (Status s = Database::ValidateStorageEnv(); !s.ok()) {
     std::cerr << "storage: " << s << "\n";
-    return 2;
-  }
-  if (Status s = ValidateExecutorEnv(); !s.ok()) {
-    std::cerr << "executor: " << s << "\n";
     return 2;
   }
   std::string program_path;
   std::vector<std::string> queries;
   std::string engine_name = "tabled";
-  std::string executor_name;
   bool explain = false;
   bool explain_plan = false;
   bool proof = false;
@@ -197,12 +191,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--max-memory-mb" && i + 1 < argc) {
       if (!ParsePositiveFlag("--max-memory-mb", argv[++i], &max_memory_mb)) {
-        return 2;
-      }
-    } else if (arg == "--executor" && i + 1 < argc) {
-      executor_name = argv[++i];
-      if (executor_name != "vm" && executor_name != "interp") {
-        std::cerr << "--executor must be \"vm\" or \"interp\"\n";
         return 2;
       }
     } else if (arg == "--explain") {
@@ -250,10 +238,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   EngineOptions options;
-  if (!executor_name.empty()) {
-    options.executor = executor_name == "interp" ? ExecutorKind::kInterp
-                                                 : ExecutorKind::kVm;
-  }
   options.demand = demand;
   options.num_threads = threads;
   options.timeout_micros = timeout_ms * 1000;

@@ -88,19 +88,14 @@ int main(int argc, char** argv) {
               << " PROGRAM.hdl [--engine NAME] [--pool N] [--threads N]"
                  " [--timeout-ms N] [--max-memory-mb N]"
                  " [--no-cross-cache] [--cache-mb N]"
-                 " [--executor vm|interp]"
                  " [--data-dir DIR] [--fsync always|group|off]"
                  " [--checkpoint-every N]\n";
     return 2;
   }
   // A mistyped storage backend must fail the launch, not silently serve
-  // every epoch from the default backend; same for HYPO_EXEC.
+  // every epoch from the default backend.
   if (Status s = Database::ValidateStorageEnv(); !s.ok()) {
     std::cerr << "storage: " << s << "\n";
-    return 2;
-  }
-  if (Status s = ValidateExecutorEnv(); !s.ok()) {
-    std::cerr << "executor: " << s << "\n";
     return 2;
   }
   std::string program_path;
@@ -111,14 +106,6 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg == "--engine" && i + 1 < argc) {
       options.engine_name = argv[++i];
-    } else if (arg == "--executor" && i + 1 < argc) {
-      std::string name = argv[++i];
-      if (name != "vm" && name != "interp") {
-        std::cerr << "--executor must be \"vm\" or \"interp\"\n";
-        return 2;
-      }
-      options.engine_options.executor =
-          name == "interp" ? ExecutorKind::kInterp : ExecutorKind::kVm;
     } else if (arg == "--no-cross-cache") {
       options.cross_query_cache = false;
     } else if (arg == "--cache-mb" && i + 1 < argc) {

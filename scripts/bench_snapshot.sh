@@ -14,10 +14,6 @@
 # in the run's meta, so back-to-back backend ladders are two invocations:
 #   HYPO_STORAGE=hash scripts/bench_snapshot.sh pr7-hash
 #   scripts/bench_snapshot.sh pr7-columnar
-# The executor is likewise inherited from HYPO_EXEC ("interp" selects the
-# plan walker, anything else the bytecode VM) and recorded in meta:
-#   HYPO_EXEC=interp scripts/bench_snapshot.sh pr9-interp
-#   scripts/bench_snapshot.sh pr9-vm
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,14 +52,12 @@ try:
 except OSError:
     pass
 storage = "hash" if os.environ.get("HYPO_STORAGE") == "hash" else "columnar"
-executor = "interp" if os.environ.get("HYPO_EXEC") == "interp" else "vm"
 run = {
     "label": label,
     "meta": {
         "nproc": os.cpu_count(),
         "cpu": cpu,
         "storage": storage,
-        "executor": executor,
     },
     "suites": {},
 }

@@ -213,22 +213,20 @@ Status BottomUpEngine::RebuildActivePlans() {
   // Lower every rule version to bytecode once; the fixpoint rounds then
   // dispatch flat programs instead of re-walking the plan per candidate.
   rule_programs_.clear();
-  if (options_.executor == ExecutorKind::kVm) {
-    rule_programs_.resize(program.num_rules());
-    for (int r = 0; r < program.num_rules(); ++r) {
-      const Rule& rule = program.rule(r);
-      vm::CompileInput in;
-      in.premises = &rule.premises;
-      in.plan = &rule_plans_[r];
-      in.num_vars = rule.num_vars();
-      rule_programs_[r].full = vm::Compile(in);
+  rule_programs_.resize(program.num_rules());
+  for (int r = 0; r < program.num_rules(); ++r) {
+    const Rule& rule = program.rule(r);
+    vm::CompileInput in;
+    in.premises = &rule.premises;
+    in.plan = &rule_plans_[r];
+    in.num_vars = rule.num_vars();
+    rule_programs_[r].full = vm::Compile(in);
+    ++stats_.vm_programs_compiled;
+    for (int i = 0; i < static_cast<int>(rule.premises.size()); ++i) {
+      if (rule.premises[i].kind != PremiseKind::kPositive) continue;
+      in.delta_premise = i;
+      rule_programs_[r].deltas.emplace_back(i, vm::Compile(in));
       ++stats_.vm_programs_compiled;
-      for (int i = 0; i < static_cast<int>(rule.premises.size()); ++i) {
-        if (rule.premises[i].kind != PremiseKind::kPositive) continue;
-        in.delta_premise = i;
-        rule_programs_[r].deltas.emplace_back(i, vm::Compile(in));
-        ++stats_.vm_programs_compiled;
-      }
     }
   }
   return Status::OK();
@@ -580,86 +578,73 @@ Status BottomUpEngine::ComputeModel(State* state, int through, WorkCtx* work,
   return Status::OK();
 }
 
+std::vector<BottomUpEngine::RuleVersion> BottomUpEngine::RoundVersions(
+    int stratum, const std::unordered_set<PredicateId>& changed_last,
+    bool first_round) const {
+  const RuleBase& program = active();
+  std::vector<RuleVersion> versions;
+  for (int rule_index : strata_.rules_by_stratum[stratum]) {
+    if (first_round) {
+      // Round 0 instantiates every rule over the full relations (the
+      // semi-naive base case).
+      versions.push_back({rule_index, -1});
+      continue;
+    }
+    // A rule whose hypothetical premise watches a same-stratum predicate
+    // that just changed cannot be delta-restricted (the premise is a
+    // test, not a generator): fall back to a full instantiation.
+    const RuleDeltaInfo& info = rule_delta_info_[rule_index];
+    bool full = false;
+    for (PredicateId p : info.hypo_sensitive_preds) {
+      if (changed_last.count(p) > 0) {
+        full = true;
+        break;
+      }
+    }
+    if (full) {
+      versions.push_back({rule_index, -1});
+      continue;
+    }
+    // The standard rewrite: one rule version per changed positive
+    // premise, that premise ranging over last round's delta only.
+    const std::vector<Premise>& premises = program.rule(rule_index).premises;
+    for (int premise_index : info.delta_premises) {
+      if (changed_last.count(premises[premise_index].atom.predicate) > 0) {
+        versions.push_back({rule_index, premise_index});
+      }
+    }
+  }
+  return versions;
+}
+
 Status BottomUpEngine::ComputeStratumSequential(State* state, int stratum,
                                                 WorkCtx* work) {
-  const EvalStrategy strategy = options_.eval_strategy;
-  const RuleBase& program = active();
-  const std::vector<int>& stratum_rules = strata_.rules_by_stratum[stratum];
   // Predicates whose relations gained tuples in the previous round, and
-  // (delta mode) the new tuples themselves, rotated per round.
+  // the new tuples themselves, rotated per round.
   std::unordered_set<PredicateId> changed_last;
   std::unordered_set<PredicateId> changed_now;
   Database delta(base_->symbols_ptr(), base_->backend());
   Database next_delta(base_->symbols_ptr(), base_->backend());
-  Database* track_delta =
-      strategy == EvalStrategy::kDeltaSeminaive ? &next_delta : nullptr;
   bool first_round = true;
   while (true) {
     ++work->stats->fixpoint_rounds;
     HYPO_FAILPOINT("bottomup.round");
-    for (int rule_index : stratum_rules) {
+    for (const RuleVersion& v :
+         RoundVersions(stratum, changed_last, first_round)) {
       EvalCtx ctx;
       ctx.state = state;
       ctx.work = work;
-      if (first_round || strategy == EvalStrategy::kNaive) {
-        // Round 0 instantiates every rule over the full relations (the
-        // semi-naive base case); naive mode keeps doing that forever.
-        HYPO_RETURN_IF_ERROR(
-            EvaluateRule(rule_index, &ctx, track_delta, &changed_now));
-        continue;
-      }
-      if (strategy == EvalStrategy::kRuleFilter) {
-        const Rule& rule = program.rule(rule_index);
-        bool relevant = false;
-        for (const Premise& p : rule.premises) {
-          if (changed_last.count(p.atom.predicate) > 0) {
-            relevant = true;
-            break;
-          }
-        }
-        if (!relevant) continue;
-        HYPO_RETURN_IF_ERROR(
-            EvaluateRule(rule_index, &ctx, nullptr, &changed_now));
-        continue;
-      }
-      // Delta semi-naive. A rule whose hypothetical premise watches a
-      // same-stratum predicate that just changed cannot be delta-
-      // restricted (the premise is a test, not a generator): fall back
-      // to a full instantiation for this round.
-      const RuleDeltaInfo& info = rule_delta_info_[rule_index];
-      bool full = false;
-      for (PredicateId p : info.hypo_sensitive_preds) {
-        if (changed_last.count(p) > 0) {
-          full = true;
-          break;
-        }
-      }
-      if (full) {
-        HYPO_RETURN_IF_ERROR(
-            EvaluateRule(rule_index, &ctx, track_delta, &changed_now));
-        continue;
-      }
-      // The standard rewrite: one rule version per changed positive
-      // premise, that premise ranging over last round's delta only.
-      const std::vector<Premise>& premises =
-          program.rule(rule_index).premises;
-      for (int premise_index : info.delta_premises) {
-        if (changed_last.count(premises[premise_index].atom.predicate) ==
-            0) {
-          continue;
-        }
-        ctx.delta_premise = premise_index;
+      if (v.delta_premise >= 0) {
+        ctx.delta_premise = v.delta_premise;
         ctx.delta = &delta;
-        HYPO_RETURN_IF_ERROR(
-            EvaluateRule(rule_index, &ctx, track_delta, &changed_now));
       }
+      HYPO_RETURN_IF_ERROR(
+          EvaluateRule(v.rule, &ctx, &next_delta, &changed_now));
     }
     if (changed_now.empty()) break;
-    if (track_delta != nullptr) {
-      retired_index_builds_ += delta.index_builds();
-      delta = std::move(next_delta);
-      next_delta = Database(base_->symbols_ptr(), base_->backend());
-    }
+    retired_index_builds_ += delta.index_builds();
+    delta = std::move(next_delta);
+    next_delta = Database(base_->symbols_ptr(), base_->backend());
     changed_last = std::move(changed_now);
     changed_now.clear();
     first_round = false;
@@ -670,19 +655,11 @@ Status BottomUpEngine::ComputeStratumSequential(State* state, int stratum,
 
 Status BottomUpEngine::ComputeStratumParallel(State* state, int stratum,
                                               WorkCtx* work) {
-  const EvalStrategy strategy = options_.eval_strategy;
-  const RuleBase& program = active();
-  const std::vector<int>& stratum_rules = strata_.rules_by_stratum[stratum];
   std::unordered_set<PredicateId> changed_last;
   std::unordered_set<PredicateId> changed_now;
   Database delta(base_->symbols_ptr(), base_->backend());
   Database next_delta(base_->symbols_ptr(), base_->backend());
-  const bool track_delta = strategy == EvalStrategy::kDeltaSeminaive;
   const int num_shards = pool_->num_workers() + 1;
-  struct Version {
-    int rule;
-    int delta_premise;  // -1 = full instantiation.
-  };
   ParallelMeter meter;
   bool first_round = true;
   while (true) {
@@ -693,47 +670,10 @@ Status BottomUpEngine::ComputeStratumParallel(State* state, int stratum,
     // the workers' memory checks would never see the growing model (their
     // own inserts are buffered and deliberately uncounted).
     HYPO_RETURN_IF_ERROR(CheckLimits(work));
-    // Rule-version selection: identical to the sequential rounds, hoisted
-    // out of the tasks so every shard evaluates the same version list.
-    std::vector<Version> versions;
-    for (int rule_index : stratum_rules) {
-      if (first_round || strategy == EvalStrategy::kNaive) {
-        versions.push_back({rule_index, -1});
-        continue;
-      }
-      if (strategy == EvalStrategy::kRuleFilter) {
-        const Rule& rule = program.rule(rule_index);
-        bool relevant = false;
-        for (const Premise& p : rule.premises) {
-          if (changed_last.count(p.atom.predicate) > 0) {
-            relevant = true;
-            break;
-          }
-        }
-        if (relevant) versions.push_back({rule_index, -1});
-        continue;
-      }
-      const RuleDeltaInfo& info = rule_delta_info_[rule_index];
-      bool full = false;
-      for (PredicateId p : info.hypo_sensitive_preds) {
-        if (changed_last.count(p) > 0) {
-          full = true;
-          break;
-        }
-      }
-      if (full) {
-        versions.push_back({rule_index, -1});
-        continue;
-      }
-      const std::vector<Premise>& premises =
-          program.rule(rule_index).premises;
-      for (int premise_index : info.delta_premises) {
-        if (changed_last.count(premises[premise_index].atom.predicate) == 0) {
-          continue;
-        }
-        versions.push_back({rule_index, premise_index});
-      }
-    }
+    // The same versions as the sequential rounds, evaluated by every
+    // shard.
+    const std::vector<RuleVersion> versions =
+        RoundVersions(stratum, changed_last, first_round);
     if (!versions.empty()) {
       ++work->stats->parallel_rounds;
       // Re-baseline the shared meter to the exact totals so far; tasks
@@ -766,7 +706,7 @@ Status BottomUpEngine::ComputeStratumParallel(State* state, int stratum,
           WorkCtx tw;
           tw.stats = &task_stats[shard];
           tw.meter = &meter;
-          for (const Version& v : versions) {
+          for (const RuleVersion& v : versions) {
             const int sp = v.delta_premise >= 0
                                ? v.delta_premise
                                : FirstPositivePremise(rule_plans_[v.rule]);
@@ -831,19 +771,15 @@ Status BottomUpEngine::ComputeStratumParallel(State* state, int stratum,
           ++work->stats->magic_facts;
         }
         changed_now.insert(f.predicate);
-        if (track_delta) {
-          next_delta.Insert(f);
-          ++work->stats->delta_facts;
-        }
+        next_delta.Insert(f);
+        ++work->stats->delta_facts;
       }
       work->stats->barrier_micros += barrier.ElapsedMicros();
     }
     if (changed_now.empty()) break;
-    if (track_delta) {
-      retired_index_builds_ += delta.index_builds();
-      delta = std::move(next_delta);
-      next_delta = Database(base_->symbols_ptr(), base_->backend());
-    }
+    retired_index_builds_ += delta.index_builds();
+    delta = std::move(next_delta);
+    next_delta = Database(base_->symbols_ptr(), base_->backend());
     changed_last = std::move(changed_now);
     changed_now.clear();
     first_round = false;
@@ -852,9 +788,8 @@ Status BottomUpEngine::ComputeStratumParallel(State* state, int stratum,
   return Status::OK();
 }
 
-// The callbacks mirror WalkPlan's per-step semantics (and counter order)
-// exactly; as a nested class the host reaches the engine's private state
-// and its callbacks inline into vm::Run's loop.
+// As a nested class the host reaches the engine's private state and its
+// callbacks inline into vm::Run's loop.
 template <typename EmitFn>
 struct BottomUpEngine::VmHost {
   BottomUpEngine* eng;
@@ -864,8 +799,8 @@ struct BottomUpEngine::VmHost {
   Binding* scratch;  // kNegProbe seeding; bound_vars Set/Unset per test.
 
   /// The row hash is only computed when this premise actually shards the
-  /// round (the interpreter's `sharded` precondition) — hashing every
-  /// candidate row would dominate tight single-threaded joins.
+  /// round — hashing every candidate row would dominate tight
+  /// single-threaded joins.
   template <typename Row>
   bool InShard(int premise_index, const Row& row) const {
     if (premise_index != ctx->shard_premise || ctx->num_shards <= 1) {
@@ -882,8 +817,9 @@ struct BottomUpEngine::VmHost {
       st->AddDb(ctx->delta);
       return Status::OK();
     }
-    // Same segment order as the interpreter: base, then the state's
-    // model, then (DRed old-model mode) this epoch's deleted facts.
+    // Base, then the state's model, then (DRed old-model mode) this
+    // epoch's deleted facts. Those are physically absent from base and
+    // model, so the segments never yield a tuple twice.
     st->AddDb(eng->base_);
     st->AddDb(&ctx->state->ext);
     if (ctx->vis_plus != nullptr) st->AddDb(ctx->vis_plus);
@@ -892,8 +828,10 @@ struct BottomUpEngine::VmHost {
 
   template <typename Row>
   bool AcceptRow(const vm::Op& op, const Row& row) {
-    // Filter order matches try_tuple: shard (uncounted), join_probes,
-    // exclude_delta, old-model minus.
+    // Another shard's instantiation is skipped uncounted. Premises before
+    // the designated delta premise range over the pre-delta relation, so
+    // an instantiation touching k delta tuples fires once, not k times;
+    // DRed's old-model mode skips this epoch's net insertions.
     if (!InShard(op.premise_index, row)) return false;
     ++ctx->work->stats->join_probes;
     if (op.exclude_delta && ctx->delta->Contains(op.pred, row)) {
@@ -910,13 +848,13 @@ struct BottomUpEngine::VmHost {
                             const std::vector<ConstId>& regs) {
     const Atom& atom = (*premises)[op.premise_index].atom;
     Fact f = vm::GroundAtom(atom, regs.data());
-    // Another shard's instantiation: fail the op so the VM backtracks
-    // (the interpreter's `return true` skips the instantiation the same
-    // way — it just expresses "don't descend" from the caller's side).
+    // Another shard's instantiation: fail the op so the VM backtracks.
     if (!InShard(op.premise_index, f.args)) return false;
     bool holds =
         op.designated ? ctx->delta->Contains(f) : eng->Visible(*ctx->state, f);
     if (!op.designated) {
+      // DRed old-model mode: this epoch's net insertions were not visible
+      // before it, its net deletions were (see EvalCtx).
       if (holds && ctx->vis_minus != nullptr && ctx->vis_minus->Contains(f)) {
         holds = false;
       }
@@ -957,7 +895,9 @@ struct BottomUpEngine::VmHost {
                            vm::GroundAtom(atom, regs.data()));
     }
     // kNegProbe: seed exactly the statically bound variables (unbound
-    // registers hold stale candidate values and must not leak in).
+    // registers hold stale candidate values and must not leak in). The
+    // rest occur only under negation: the premise holds iff *no* instance
+    // is visible (∄ reading).
     for (VarIndex v : op.bound_vars) scratch->Set(v, regs[v]);
     const bool witness =
         eng->ExistsMatch(*ctx->state, atom, scratch, ctx->work);
@@ -983,8 +923,12 @@ struct BottomUpEngine::VmHost {
 template <typename EmitFn>
 StatusOr<bool> BottomUpEngine::RunProgram(const std::vector<Premise>& premises,
                                           const vm::Program& prog,
-                                          EvalCtx* ctx, const EmitFn& emit) {
+                                          EvalCtx* ctx, const EmitFn& emit,
+                                          const Tuple* head) {
   vm::FrameLease frame(&ctx->work->vm_frames, prog.num_vars);
+  if (head != nullptr && !vm::MatchHead(prog, *head, frame->regs.data())) {
+    return true;  // The rule cannot conclude this fact.
+  }
   VmHost<EmitFn> host{this, &premises, ctx, &emit, &frame->neg};
   return vm::Run(prog, &host, &frame->regs, &frame->states);
 }
@@ -993,205 +937,35 @@ Status BottomUpEngine::EvaluateRule(
     int rule_index, EvalCtx* ctx, Database* next_delta,
     std::unordered_set<PredicateId>* changed) {
   const Rule& rule = active().rule(rule_index);
-  const BodyPlan& plan = rule_plans_[rule_index];
   State* state = ctx->state;
-  auto sink_body = [&](const Fact& head) -> StatusOr<bool> {
+  Fact head;  // Reused across emits; Insert copies it out.
+  auto emit = [&](const ConstId* regs) -> StatusOr<bool> {
+    ++ctx->work->stats->goals_expanded;
+    HYPO_RETURN_IF_ERROR(CheckLimits(ctx->work));
+    vm::GroundAtomInto(rule.head, regs, &head);
+    if (Visible(*state, head)) return true;  // Keep enumerating.
     if (ctx->buffer != nullptr) {
       // Parallel round: the model is sealed. Buffer the head (deduped per
       // task by the buffer's own hash set); the barrier merge inserts it
       // and does the exact-once accounting.
-      if (!Visible(*state, head)) ctx->buffer->Insert(head);
+      ctx->buffer->Insert(head);
       return true;
     }
-    if (!Visible(*state, head)) {
-      state->ext.Insert(head);
-      ctx->work->local_bytes += ApproxFactBytes(head.args.size());
-      ++ctx->work->stats->facts_derived;
-      if (demand_program_ != nullptr &&
-          demand_program_->IsMagic(head.predicate)) {
-        ++ctx->work->stats->magic_facts;
-      }
-      changed->insert(head.predicate);
-      if (next_delta != nullptr) {
-        next_delta->Insert(head);
-        ++ctx->work->stats->delta_facts;
-      }
+    state->ext.Insert(head);
+    ctx->work->local_bytes += ApproxFactBytes(head.args.size());
+    ++ctx->work->stats->facts_derived;
+    if (demand_program_ != nullptr &&
+        demand_program_->IsMagic(head.predicate)) {
+      ++ctx->work->stats->magic_facts;
     }
-    return true;  // Keep enumerating.
+    changed->insert(head.predicate);
+    next_delta->Insert(head);
+    ++ctx->work->stats->delta_facts;
+    return true;
   };
-  if (options_.executor == ExecutorKind::kVm &&
-      rule_index < static_cast<int>(rule_programs_.size())) {
-    const vm::Program* prog =
-        rule_programs_[rule_index].For(ctx->delta_premise);
-    if (prog != nullptr) {
-      Fact head;  // Reused across emits; Insert copies it out.
-      auto emit = [&](const ConstId* regs) -> StatusOr<bool> {
-        ++ctx->work->stats->goals_expanded;
-        HYPO_RETURN_IF_ERROR(CheckLimits(ctx->work));
-        vm::GroundAtomInto(rule.head, regs, &head);
-        return sink_body(head);
-      };
-      return RunProgram(rule.premises, *prog, ctx, emit).status();
-    }
-  }
-  Binding binding(rule.num_vars());
-  auto sink = [&](const Binding& b) -> StatusOr<bool> {
-    ++ctx->work->stats->goals_expanded;
-    HYPO_RETURN_IF_ERROR(CheckLimits(ctx->work));
-    return sink_body(b.Ground(rule.head));
-  };
-  return WalkPlan(rule.premises, plan, 0, &binding, ctx, sink).status();
-}
-
-StatusOr<bool> BottomUpEngine::WalkPlan(
-    const std::vector<Premise>& premises, const BodyPlan& plan, size_t step,
-    Binding* binding, EvalCtx* ctx,
-    const std::function<StatusOr<bool>(const Binding&)>& sink) {
-  if (step == plan.steps.size()) return sink(*binding);
-  const PlanStep& ps = plan.steps[step];
-  State* state = ctx->state;
-  switch (ps.kind) {
-    case PlanStep::Kind::kMatchPositive: {
-      const Atom& atom = premises[ps.premise_index].atom;
-      // The designated delta premise of a semi-naive rule version ranges
-      // over last round's newly derived tuples only. Premises *before* the
-      // designated one (in source order) range over the pre-delta relation
-      // (total minus delta): each instantiation touching k ≥ 1 delta
-      // tuples then fires exactly once, in the version designating its
-      // first delta premise, instead of k times. Later premises see the
-      // full (base + ext) relations.
-      const bool designated = ps.premise_index == ctx->delta_premise;
-      const bool exclude_delta = !designated && ctx->delta != nullptr &&
-                                 ps.premise_index < ctx->delta_premise;
-      // Parallel rounds partition instantiations across shards by the
-      // hash of the tuple matched at the shard premise.
-      const bool sharded =
-          ps.premise_index == ctx->shard_premise && ctx->num_shards > 1;
-      // Generic over the row type (Tuple or columnar RowRef); HashRowLike
-      // makes shard assignment bit-identical across storage backends.
-      auto in_shard = [&](const auto& t) {
-        return static_cast<int>(HashRowLike(t) %
-                                static_cast<size_t>(ctx->num_shards)) ==
-               ctx->shard;
-      };
-      if (binding->Grounds(atom)) {
-        Fact f = binding->Ground(atom);
-        if (sharded && !in_shard(f.args)) return true;  // Another shard's.
-        bool holds = designated ? ctx->delta->Contains(f) : Visible(*state, f);
-        if (!designated) {
-          // DRed old-model mode: this epoch's net insertions were not
-          // visible before it, its net deletions were (see EvalCtx).
-          if (holds && ctx->vis_minus != nullptr && ctx->vis_minus->Contains(f))
-            holds = false;
-          if (!holds && ctx->vis_plus != nullptr && ctx->vis_plus->Contains(f))
-            holds = true;
-        }
-        if (holds && exclude_delta && ctx->delta->Contains(f)) holds = false;
-        if (!holds) return true;
-        return WalkPlan(premises, plan, step + 1, binding, ctx, sink);
-      }
-      // The model can grow while we iterate (the sink inserts facts);
-      // index-based iteration over the stable prefix is safe because
-      // vectors only get appended to, and the fixpoint loop re-runs the
-      // rule until nothing changes.
-      std::vector<VarIndex> trail;
-      Status error;
-      bool stopped = false;
-      // Generic lambda: candidates arrive as const Tuple& from the
-      // reference backend and as RowRef views from columnar storage, so
-      // the filters and MatchTuple monomorphize per backend — no Tuple is
-      // materialized on the columnar hot path.
-      auto try_tuple = [&](const auto& tuple) -> bool {
-        if (sharded && !in_shard(tuple)) return true;
-        ++ctx->work->stats->join_probes;
-        if (exclude_delta && ctx->delta->Contains(atom.predicate, tuple)) {
-          return true;
-        }
-        // Old-model mode: skip this epoch's net insertions. (Deleted facts
-        // arrive via the extra vis_plus scan below; they are physically
-        // absent from base and ext, so the scans cannot duplicate them.)
-        if (!designated && ctx->vis_minus != nullptr &&
-            ctx->vis_minus->Contains(atom.predicate, tuple)) {
-          return true;
-        }
-        if (!binding->MatchTuple(atom, tuple, &trail)) return true;
-        StatusOr<bool> r =
-            WalkPlan(premises, plan, step + 1, binding, ctx, sink);
-        binding->Undo(&trail, 0);
-        if (!r.ok()) {
-          error = r.status();
-          return false;
-        }
-        if (!*r) {
-          stopped = true;
-          return false;
-        }
-        return true;
-      };
-      EngineStats* stats = ctx->work->stats;
-      if (designated) {
-        ForEachBaseCandidate(*ctx->delta, atom, *binding, try_tuple, stats);
-      } else if (ForEachBaseCandidate(*base_, atom, *binding, try_tuple,
-                                      stats) &&
-                 ForEachBaseCandidate(state->ext, atom, *binding, try_tuple,
-                                      stats) &&
-                 ctx->vis_plus != nullptr) {
-        ForEachBaseCandidate(*ctx->vis_plus, atom, *binding, try_tuple,
-                             stats);
-      }
-      HYPO_RETURN_IF_ERROR(error);
-      if (stopped) return false;
-      return true;
-    }
-    case PlanStep::Kind::kEnumerateVars: {
-      // Nested enumeration of dom(R, DB) for each listed variable.
-      std::function<StatusOr<bool>(size_t)> enumerate =
-          [&](size_t v) -> StatusOr<bool> {
-        if (v == ps.enum_vars.size()) {
-          return WalkPlan(premises, plan, step + 1, binding, ctx, sink);
-        }
-        VarIndex var = ps.enum_vars[v];
-        if (binding->IsBound(var)) return enumerate(v + 1);
-        for (ConstId c : domain_) {
-          // Purely extensional domain^n loops derive no heads, so they
-          // must be metered here or max_steps never triggers.
-          HYPO_RETURN_IF_ERROR(CountEnumeration(ctx->work));
-          binding->Set(var, c);
-          StatusOr<bool> r = enumerate(v + 1);
-          binding->Unset(var);
-          HYPO_RETURN_IF_ERROR(r.status());
-          if (!*r) return false;
-        }
-        return true;
-      };
-      return enumerate(0);
-    }
-    case PlanStep::Kind::kHypothetical: {
-      const Premise& premise = premises[ps.premise_index];
-      if (!premise.deletions.empty()) {
-        return Status::Unimplemented(
-            "hypothetical deletion is supported only by TabledEngine");
-      }
-      Fact query = binding->Ground(premise.atom);
-      std::vector<Fact> additions;
-      additions.reserve(premise.additions.size());
-      for (const Atom& a : premise.additions) {
-        additions.push_back(binding->Ground(a));
-      }
-      HYPO_ASSIGN_OR_RETURN(
-          bool holds, TestHypothetical(state, query, additions, ctx->work));
-      if (!holds) return true;
-      return WalkPlan(premises, plan, step + 1, binding, ctx, sink);
-    }
-    case PlanStep::Kind::kNegated: {
-      const Atom& atom = premises[ps.premise_index].atom;
-      // Variables still unbound here occur only under negation: the
-      // premise succeeds iff *no* instance is visible (∄ reading).
-      if (ExistsMatch(*state, atom, binding, ctx->work)) return true;
-      return WalkPlan(premises, plan, step + 1, binding, ctx, sink);
-    }
-  }
-  return Status::Internal("unknown plan step");
+  const vm::Program* prog =
+      rule_programs_[rule_index].For(ctx->delta_premise);
+  return RunProgram(rule.premises, *prog, ctx, emit).status();
 }
 
 StatusOr<bool> BottomUpEngine::TestHypothetical(
@@ -1466,29 +1240,14 @@ Status BottomUpEngine::RepairStratumIncremental(State* state, int stratum,
         ctx.delta = &round;
         ctx.vis_plus = plus;
         ctx.vis_minus = minus;
-        const vm::Program* prog =
-            options_.executor == ExecutorKind::kVm &&
-                    rule_index < static_cast<int>(rule_programs_.size())
-                ? rule_programs_[rule_index].For(i)
-                : nullptr;
-        if (prog != nullptr) {
-          auto emit = [&](const ConstId* regs) -> StatusOr<bool> {
-            ++work->stats->goals_expanded;
-            HYPO_RETURN_IF_ERROR(CheckLimits(work));
-            return on_head(vm::GroundAtom(rule.head, regs));
-          };
-          HYPO_RETURN_IF_ERROR(
-              RunProgram(rule.premises, *prog, &ctx, emit).status());
-          continue;
-        }
-        Binding binding(rule.num_vars());
-        auto sink = [&](const Binding& b) -> StatusOr<bool> {
+        auto emit = [&](const ConstId* regs) -> StatusOr<bool> {
           ++work->stats->goals_expanded;
           HYPO_RETURN_IF_ERROR(CheckLimits(work));
-          return on_head(b.Ground(rule.head));
+          return on_head(vm::GroundAtom(rule.head, regs));
         };
-        HYPO_RETURN_IF_ERROR(WalkPlan(rule.premises, rule_plans_[rule_index],
-                                      0, &binding, &ctx, sink)
+        HYPO_RETURN_IF_ERROR(RunProgram(rule.premises,
+                                        *rule_programs_[rule_index].For(i),
+                                        &ctx, emit)
                                  .status());
       }
     }
@@ -1663,22 +1422,29 @@ StatusOr<bool> BottomUpEngine::HeadDerivable(const Fact& fact, int stratum,
   for (int rule_index : strata_.rules_by_stratum[stratum]) {
     const Rule& rule = program.rule(rule_index);
     if (rule.head.predicate != fact.predicate) continue;
-    Binding binding(rule.num_vars());
-    std::vector<VarIndex> trail;
-    // Bind the head against the fact; a constant mismatch or inconsistent
-    // repeated variable rules this rule out immediately.
-    if (!binding.MatchTuple(rule.head, fact.args, &trail)) continue;
+    vm::Program& prog = rule_programs_[rule_index].head;
+    if (prog.ops.empty()) {
+      // Compiled on first use: only retracting epochs rederive. The head
+      // binds from the fact, so a constant mismatch or an inconsistent
+      // repeated variable rules the rule out before its body runs.
+      vm::CompileInput in;
+      in.premises = &rule.premises;
+      in.plan = &rule_plans_[rule_index];
+      in.num_vars = rule.num_vars();
+      in.head = &rule.head;
+      prog = vm::Compile(in);
+      ++work->stats->vm_programs_compiled;
+    }
     EvalCtx ctx;
     ctx.state = state;
     ctx.work = work;
     bool found = false;
-    auto sink = [&found](const Binding&) -> StatusOr<bool> {
+    auto emit = [&found](const ConstId*) -> StatusOr<bool> {
       found = true;
       return false;  // One witness suffices.
     };
-    HYPO_RETURN_IF_ERROR(WalkPlan(rule.premises, rule_plans_[rule_index], 0,
-                                  &binding, &ctx, sink)
-                             .status());
+    HYPO_RETURN_IF_ERROR(
+        RunProgram(rule.premises, prog, &ctx, emit, &fact.args).status());
     if (found) return true;
   }
   return false;
@@ -1689,21 +1455,18 @@ std::string BottomUpEngine::ExplainPlans() const {
   std::ostringstream out;
   const RuleBase& program = active();
   const SymbolTable& symbols = *base_->symbols_ptr();
-  out << "engine=bottom-up executor="
-      << (options_.executor == ExecutorKind::kVm ? "vm" : "interp") << "\n";
+  out << "engine=bottom-up\n";
   for (int r = 0; r < program.num_rules(); ++r) {
     const Rule& rule = program.rule(r);
     out << "  rule " << r << ": "
         << symbols.PredicateName(rule.head.predicate) << "/"
         << rule.head.args.size() << "\n";
     out << DescribePlan(rule_plans_[r], rule.premises, symbols);
-    if (r < static_cast<int>(rule_programs_.size())) {
-      out << "    bytecode (full):\n"
-          << vm::Disassemble(rule_programs_[r].full, rule.premises, symbols);
-      for (const auto& [premise, prog] : rule_programs_[r].deltas) {
-        out << "    bytecode (delta p" << premise << "):\n"
-            << vm::Disassemble(prog, rule.premises, symbols);
-      }
+    out << "    bytecode (full):\n"
+        << vm::Disassemble(rule_programs_[r].full, rule.premises, symbols);
+    for (const auto& [premise, prog] : rule_programs_[r].deltas) {
+      out << "    bytecode (delta p" << premise << "):\n"
+          << vm::Disassemble(prog, rule.premises, symbols);
     }
   }
   return out.str();
@@ -1764,7 +1527,8 @@ StatusOr<bool> BottomUpEngine::ProveFact(const Fact& fact) {
   return Visible(*top, fact);
 }
 
-StatusOr<bool> BottomUpEngine::ProveQuery(const Query& query) {
+Status BottomUpEngine::RunQuery(const Query& query,
+                                std::vector<Tuple>* answers, bool* found) {
   if (!initialized_) HYPO_RETURN_IF_ERROR(Init());
   HYPO_RETURN_IF_ERROR(CheckQueryRestrictions(*rulebase_, query));
   HYPO_RETURN_IF_ERROR(EnsureConstants(query));
@@ -1780,82 +1544,38 @@ StatusOr<bool> BottomUpEngine::ProveQuery(const Query& query) {
   Atom head = PseudoHead(query);
   BodyPlan plan =
       BodyPlan::Build(query.premises, &head, query.num_vars(), base_);
-  EvalCtx ctx;
-  ctx.state = top;
-  ctx.work = &work;
-  bool found = false;
-  if (options_.executor == ExecutorKind::kVm) {
-    vm::CompileInput in;
-    in.premises = &query.premises;
-    in.plan = &plan;
-    in.num_vars = query.num_vars();
-    vm::Program prog = vm::Compile(in);
-    ++stats_.vm_programs_compiled;
-    auto emit = [&found](const ConstId*) -> StatusOr<bool> {
-      found = true;
-      return false;  // Stop at the first witness.
-    };
-    HYPO_RETURN_IF_ERROR(
-        RunProgram(query.premises, prog, &ctx, emit).status());
-    return found;
-  }
-  Binding binding(query.num_vars());
-  auto sink = [&found](const Binding&) -> StatusOr<bool> {
-    found = true;
-    return false;  // Stop at the first witness.
-  };
-  HYPO_RETURN_IF_ERROR(
-      WalkPlan(query.premises, plan, 0, &binding, &ctx, sink).status());
-  return found;
-}
-
-StatusOr<std::vector<Tuple>> BottomUpEngine::Answers(const Query& query) {
-  if (!initialized_) HYPO_RETURN_IF_ERROR(Init());
-  HYPO_RETURN_IF_ERROR(CheckQueryRestrictions(*rulebase_, query));
-  HYPO_RETURN_IF_ERROR(EnsureConstants(query));
-  GuardScope guard_scope(&guard_, options_, &stats_);
-  if (guard_.wants_memory()) RecomputeTrackedBytes();
-  std::vector<Fact> seeds;
-  int through = 0;
-  HYPO_RETURN_IF_ERROR(PrepareQueryDemand(query, &seeds, &through));
-  WorkCtx work;
-  work.stats = &stats_;
-  HYPO_ASSIGN_OR_RETURN(State * top,
-                        MaterializeState({}, through, seeds, &work));
-  Atom head = PseudoHead(query);
-  BodyPlan plan =
-      BodyPlan::Build(query.premises, &head, query.num_vars(), base_);
+  vm::CompileInput in;
+  in.premises = &query.premises;
+  in.plan = &plan;
+  in.num_vars = query.num_vars();
+  vm::Program prog = vm::Compile(in);
+  ++stats_.vm_programs_compiled;
   EvalCtx ctx;
   ctx.state = top;
   ctx.work = &work;
   std::unordered_set<Tuple, TupleHash> seen;
-  std::vector<Tuple> answers;
-  if (options_.executor == ExecutorKind::kVm) {
-    vm::CompileInput in;
-    in.premises = &query.premises;
-    in.plan = &plan;
-    in.num_vars = query.num_vars();
-    vm::Program prog = vm::Compile(in);
-    ++stats_.vm_programs_compiled;
-    // The pseudo-head enumerates every query variable, so all registers
-    // are bound at emit and the register file IS the answer tuple.
-    auto emit = [&](const ConstId* regs) -> StatusOr<bool> {
-      Tuple t(regs, regs + query.num_vars());
-      if (seen.insert(t).second) answers.push_back(std::move(t));
-      return true;
-    };
-    HYPO_RETURN_IF_ERROR(
-        RunProgram(query.premises, prog, &ctx, emit).status());
-    return answers;
-  }
-  Binding binding(query.num_vars());
-  auto sink = [&](const Binding& b) -> StatusOr<bool> {
-    Tuple t = b.values();
-    if (seen.insert(t).second) answers.push_back(std::move(t));
+  // The pseudo-head enumerates every query variable, so all registers are
+  // bound at emit and the register file IS the answer tuple.
+  auto emit = [&](const ConstId* regs) -> StatusOr<bool> {
+    *found = true;
+    if (answers == nullptr) return false;  // Stop at the first witness.
+    Tuple t(regs, regs + query.num_vars());
+    if (seen.insert(t).second) answers->push_back(std::move(t));
     return true;
   };
-  HYPO_RETURN_IF_ERROR(
-      WalkPlan(query.premises, plan, 0, &binding, &ctx, sink).status());
+  return RunProgram(query.premises, prog, &ctx, emit).status();
+}
+
+StatusOr<bool> BottomUpEngine::ProveQuery(const Query& query) {
+  bool found = false;
+  HYPO_RETURN_IF_ERROR(RunQuery(query, nullptr, &found));
+  return found;
+}
+
+StatusOr<std::vector<Tuple>> BottomUpEngine::Answers(const Query& query) {
+  std::vector<Tuple> answers;
+  bool found = false;
+  HYPO_RETURN_IF_ERROR(RunQuery(query, &answers, &found));
   return answers;
 }
 

@@ -2,7 +2,6 @@
 #define HYPO_ENGINE_BOTTOM_UP_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,9 +61,7 @@ namespace hypo {
 /// only scheduling-dependent machinery counters (rounds, probes) differ.
 ///
 /// This engine makes no linearity assumption — it accepts every rulebase
-/// the paper's inference system defines (Definition 3 + stratified NAF) —
-/// and serves as the ground-truth oracle the StratifiedProver is
-/// cross-checked against.
+/// the paper's inference system defines (Definition 3 + stratified NAF).
 class BottomUpEngine : public Engine {
  public:
   /// Neither pointer is owned; both must outlive the engine.
@@ -91,7 +88,7 @@ class BottomUpEngine : public Engine {
   /// The governance fields (timeout_micros, max_memory_bytes, cancel) may
   /// be changed between queries — e.g. to retry a tripped query with a
   /// larger budget on the same warm engine. Changing the evaluation
-  /// fields (strategy, demand, threads) after Init() is undefined.
+  /// fields (demand, threads) after Init() is undefined.
   EngineOptions* mutable_options() override { return &options_; }
 
   /// Incremental repair of the memoized base-state model after the caller
@@ -115,8 +112,8 @@ class BottomUpEngine : public Engine {
     return static_sigs_;
   }
 
-  /// Premise order, probe masks, and (VM executor) disassembled bytecode
-  /// per compiled rule version of the active program.
+  /// Premise order, probe masks, and disassembled bytecode per compiled
+  /// rule version of the active program.
   std::string ExplainPlans() const override;
 
   /// Test hooks (governance_test): the incrementally tracked model-byte
@@ -196,20 +193,22 @@ class BottomUpEngine : public Engine {
     /// Unflushed local delta of tracked_bytes_: bytes this thread has
     /// added to memoized models since its last flush (see CheckLimits).
     int64_t local_bytes = 0;
-    /// Reusable VM register/scan frames (executor == kVm). Per-thread by
-    /// construction, depth-indexed so hypothetical sub-fixpoints that
-    /// re-enter RunProgram on this thread get their own frame.
+    /// Reusable VM register/scan frames. Per-thread by construction,
+    /// depth-indexed so hypothetical sub-fixpoints that re-enter
+    /// RunProgram on this thread get their own frame.
     vm::FrameStack vm_frames;
   };
 
-  /// Compiled bytecode versions of one rule body (executor == kVm): the
-  /// full instantiation plus one delta version per positive premise index
-  /// (the semi-naive rounds designate same-stratum premises; the DRed
-  /// repair rounds can designate ANY positive premise, so all of them are
-  /// compiled up front).
+  /// Compiled bytecode versions of one rule body: the full instantiation
+  /// plus one delta version per positive premise index (the semi-naive
+  /// rounds designate same-stratum premises; the DRed repair rounds can
+  /// designate ANY positive premise, so all of them are compiled up
+  /// front), and the head-bound version DRed's rederivation runs
+  /// (compiled on first use; empty ops until then).
   struct RuleProgs {
     vm::Program full;
     std::vector<std::pair<int, vm::Program>> deltas;  // (premise, program)
+    vm::Program head;
 
     const vm::Program* For(int delta_premise) const {
       if (delta_premise < 0) return &full;
@@ -235,8 +234,8 @@ class BottomUpEngine : public Engine {
     std::vector<PredicateId> hypo_sensitive_preds;
   };
 
-  /// Per-round evaluation context threaded through WalkPlan: the state
-  /// under construction, the optional delta designation, the calling
+  /// Per-round evaluation context of one program run: the state under
+  /// construction, the optional delta designation, the calling
   /// thread's work accumulator, and (parallel rounds) the private
   /// insertion buffer plus the shard filter.
   struct EvalCtx {
@@ -353,6 +352,23 @@ class BottomUpEngine : public Engine {
   /// step of ApplyBaseDelta's recompute-and-diff fallback.
   Status ComputeStratumSequential(State* state, int stratum, WorkCtx* work);
 
+  /// One rule version of a semi-naive round: the rule with premise
+  /// `delta_premise` ranging over last round's new tuples only, or (-1)
+  /// the full instantiation.
+  struct RuleVersion {
+    int rule;
+    int delta_premise;
+  };
+
+  /// The versions one round of `stratum`'s fixpoint evaluates, for the
+  /// sequential and the parallel rounds alike: every rule in full in the
+  /// first round; afterwards one version per positive premise whose
+  /// predicate changed last round, or the full rule when one of its
+  /// hypothetical premises watches a changed same-stratum predicate.
+  std::vector<RuleVersion> RoundVersions(
+      int stratum, const std::unordered_set<PredicateId>& changed_last,
+      bool first_round) const;
+
   // --- Incremental base-delta repair (ApplyBaseDelta) ---------------------
   //
   // `ins` / `del` accumulate the NET visibility changes of the epoch,
@@ -385,26 +401,28 @@ class BottomUpEngine : public Engine {
                                 Database* del, WorkCtx* work);
 
   /// True iff some rule of `stratum` derives `fact` in the CURRENT model
-  /// (DRed's rederivation test, run after overdeleted facts are removed).
+  /// (DRed's rederivation test, run after overdeleted facts are removed),
+  /// by each rule's head-bound program.
   StatusOr<bool> HeadDerivable(const Fact& fact, int stratum, State* state,
                                WorkCtx* work);
 
-  /// VM executor host: mirrors WalkPlan's per-step semantics and counter
-  /// order. A nested class (rather than a function-local one) because it
-  /// needs a member template — AcceptRow sees both Database::Scan::Row
-  /// and Tuple rows — which local classes cannot declare. Defined in
-  /// bottom_up.cc.
+  /// The VM's host: storage segments, premise tests and metering. A
+  /// nested class (rather than a function-local one) because it needs a
+  /// member template — AcceptRow sees both Database::Scan::Row and Tuple
+  /// rows — which local classes cannot declare. Defined in bottom_up.cc.
   template <typename EmitFn>
   struct VmHost;
 
-  /// Runs one compiled program against `ctx` (VM executor). `emit`
-  /// receives the complete register file per instantiation and follows
-  /// the sink protocol (false stops the enumeration). Instantiated only
-  /// in bottom_up.cc.
+  /// Runs one compiled program against `ctx`. `emit` receives the
+  /// complete register file per instantiation and returns false to stop
+  /// the enumeration; the run returns false iff `emit` stopped it. A
+  /// head-bound program needs the concluded fact's `head` arguments.
+  /// Instantiated only in bottom_up.cc.
   template <typename EmitFn>
   StatusOr<bool> RunProgram(const std::vector<Premise>& premises,
                             const vm::Program& prog, EvalCtx* ctx,
-                            const EmitFn& emit);
+                            const EmitFn& emit,
+                            const Tuple* head = nullptr);
 
   /// Evaluates one rule version over `ctx->state`, inserting derived
   /// heads into the model; predicates that gained tuples go to `changed`
@@ -415,14 +433,10 @@ class BottomUpEngine : public Engine {
   Status EvaluateRule(int rule_index, EvalCtx* ctx, Database* next_delta,
                       std::unordered_set<PredicateId>* changed);
 
-  /// Recursive plan walker shared by rule evaluation and queries.
-  /// `sink` returns false to stop enumeration early. The walker returns
-  /// false iff the sink stopped it.
-  StatusOr<bool> WalkPlan(const std::vector<Premise>& premises,
-                          const BodyPlan& plan, size_t step,
-                          Binding* binding, EvalCtx* ctx,
-                          const std::function<StatusOr<bool>(
-                              const Binding&)>& sink);
+  /// Evaluates a query body on the base state, collecting answers (or
+  /// stopping at the first witness when `answers` is null).
+  Status RunQuery(const Query& query, std::vector<Tuple>* answers,
+                  bool* found);
 
   /// Tests a fully ground hypothetical premise against `state`.
   StatusOr<bool> TestHypothetical(State* state, const Fact& query,
@@ -466,9 +480,8 @@ class BottomUpEngine : public Engine {
 
   NegationStrata strata_;
   std::vector<BodyPlan> rule_plans_;
-  /// Compiled programs per active-program rule; empty when the executor
-  /// is kInterp. Rebuilt with the plans (Init, demand refresh, server
-  /// epoch replans).
+  /// Compiled programs per active-program rule. Rebuilt with the plans
+  /// (Init, demand refresh, server epoch replans).
   std::vector<RuleProgs> rule_programs_;
   std::vector<RuleDeltaInfo> rule_delta_info_;
   /// Base-relation cardinalities the current plans were ordered against

@@ -1,51 +1,12 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <unordered_set>
 
 #include "base/hash.h"
 
 namespace hypo {
-
-namespace {
-
-// -1 = uninitialized; else an ExecutorKind value. Initialized from the
-// environment on first use so test/bench harnesses can flip the whole
-// process (every engine constructed afterwards) per run.
-std::atomic<int>& DefaultExecutorSlot() {
-  static std::atomic<int> slot{-1};
-  return slot;
-}
-
-}  // namespace
-
-ExecutorKind DefaultExecutor() {
-  std::atomic<int>& slot = DefaultExecutorSlot();
-  int v = slot.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("HYPO_EXEC");
-    ExecutorKind kind = (env != nullptr && std::strcmp(env, "interp") == 0)
-                            ? ExecutorKind::kInterp
-                            : ExecutorKind::kVm;
-    v = static_cast<int>(kind);
-    slot.store(v, std::memory_order_relaxed);
-  }
-  return static_cast<ExecutorKind>(v);
-}
-
-Status ValidateExecutorEnv() {
-  const char* env = std::getenv("HYPO_EXEC");
-  if (env == nullptr || env[0] == '\0' || std::strcmp(env, "interp") == 0 ||
-      std::strcmp(env, "vm") == 0) {
-    return Status::OK();
-  }
-  return Status::InvalidArgument(std::string("unknown HYPO_EXEC value \"") +
-                                 env + "\" (expected \"vm\" or \"interp\")");
-}
 
 std::vector<ConstId> ComputeDomain(const RuleBase& rulebase,
                                    const Database& db,

@@ -18,42 +18,6 @@ namespace hypo {
 
 class MemoBoard;
 
-/// How the bottom-up fixpoints (BottomUpEngine per-state models, the
-/// StratifiedProver's Δ segments) re-apply rules round after round.
-enum class EvalStrategy {
-  /// Re-run every rule over the full relations each round. O(rounds ×
-  /// full-join); the ablation floor.
-  kNaive = 0,
-  /// Skip whole rules none of whose body predicates gained tuples in the
-  /// previous round, but still join full relations for the rest.
-  kRuleFilter = 1,
-  /// Tuple-level semi-naive: per-round delta relations, with each rule
-  /// instantiated once per changed positive premise, that premise ranging
-  /// over the delta only (the standard rewrite). BottomUpEngine only; the
-  /// StratifiedProver treats it as kRuleFilter.
-  kDeltaSeminaive = 2,
-};
-
-/// How rule bodies (and query bodies) execute.
-enum class ExecutorKind {
-  /// The interpretive plan walker: recursive WalkPlan over BodyPlan
-  /// steps with Binding maps. Kept as the differential oracle.
-  kInterp = 0,
-  /// Compiled execution: each body is lowered once (per Init / server
-  /// epoch) to flat register bytecode (engine/vm/) and run by a switch
-  /// inner loop over dense register frames. Answers, models, and every
-  /// non-vm_* counter are identical to the interpreter.
-  kVm = 1,
-};
-
-/// Process default for ExecutorKind, from the HYPO_EXEC environment
-/// variable ("vm" | "interp"; unset/empty = vm). Mirrors HYPO_STORAGE:
-/// read once on first use so a whole test/bench process flips per run.
-ExecutorKind DefaultExecutor();
-
-/// Validates HYPO_EXEC without consuming it (CLI startup check).
-Status ValidateExecutorEnv();
-
 /// Evaluation limits and switches shared by the engines.
 struct EngineOptions {
   /// Maximum number of memoized database states before evaluation aborts
@@ -63,15 +27,6 @@ struct EngineOptions {
 
   /// Maximum number of goal expansions / rule firings before aborting.
   int64_t max_steps = 500'000'000;
-
-  /// Fixpoint evaluation strategy; kNaive and kRuleFilter are kept as
-  /// ablation baselines for bench_engine.
-  EvalStrategy eval_strategy = EvalStrategy::kDeltaSeminaive;
-
-  /// Rule-body execution backend (see ExecutorKind). Defaults from the
-  /// HYPO_EXEC environment variable; kVm when unset. Changing it after
-  /// Init() is undefined (programs are compiled at Init / replan time).
-  ExecutorKind executor = DefaultExecutor();
 
   /// Cross-check the overlay's incrementally interned context id against
   /// a from-scratch canonical key on every memoized goal lookup.
@@ -183,7 +138,7 @@ struct EngineStats {
   int64_t strata_repaired = 0;    // Strata repaired by delta rounds.
   int64_t strata_recomputed = 0;  // Strata rebuilt and diffed (fallback).
 
-  // Compiled execution (EngineOptions::executor == kVm; engine/vm/).
+  // Compiled execution (engine/vm/).
   int64_t vm_programs_compiled = 0;  // Bodies lowered to bytecode.
   int64_t vm_ops_executed = 0;       // Bytecode ops dispatched.
 
@@ -348,7 +303,7 @@ class Engine {
   /// The governance fields (timeout_micros, max_memory_bytes, cancel) may
   /// be changed between queries — e.g. to retry a tripped query with a
   /// larger budget on the same warm engine. Changing the evaluation
-  /// fields (strategy, demand, threads) after Init() is undefined.
+  /// fields (demand, threads) after Init() is undefined.
   virtual EngineOptions* mutable_options() = 0;
 
   /// Notifies the engine that the caller has mutated the base Database
@@ -374,8 +329,8 @@ class Engine {
 
   /// Human-readable description of the engine's active evaluation plans:
   /// per rule, the premise order and probe masks, plus the disassembled
-  /// bytecode of each compiled program version when the VM executor is
-  /// active. Backs hypo_cli --explain-plan and the server `explain` verb.
+  /// bytecode of each compiled program version. Backs hypo_cli
+  /// --explain-plan and the server `explain` verb.
   /// Engines must be Init()ed first; the default reports nothing.
   virtual std::string ExplainPlans() const { return ""; }
 

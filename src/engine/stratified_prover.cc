@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <functional>
 #include <sstream>
 
 namespace hypo {
@@ -90,21 +89,19 @@ Status StratifiedProver::Init() {
         BodyPlan::Build(rule.premises, &rule.head, rule.num_vars(), base_));
   }
   rule_programs_.clear();
-  if (options_.executor == ExecutorKind::kVm) {
-    rule_programs_.reserve(rulebase_->num_rules());
-    for (int r = 0; r < rulebase_->num_rules(); ++r) {
-      const Rule& rule = rulebase_->rule(r);
-      vm::CompileInput in;
-      in.premises = &rule.premises;
-      in.plan = &rule_plans_[r];
-      in.num_vars = rule.num_vars();
-      // Σ-headed rules enter from a ground goal (ProveSigma binds the
-      // head); Δ-headed rules enter unbound from the model fixpoint.
-      if (PartitionOf(rule.head.predicate) % 2 == 0) in.head = &rule.head;
-      in.modes = StratifiedModes(strat_, rule.premises);
-      rule_programs_.push_back(vm::Compile(in));
-      ++stats_.vm_programs_compiled;
-    }
+  rule_programs_.reserve(rulebase_->num_rules());
+  for (int r = 0; r < rulebase_->num_rules(); ++r) {
+    const Rule& rule = rulebase_->rule(r);
+    vm::CompileInput in;
+    in.premises = &rule.premises;
+    in.plan = &rule_plans_[r];
+    in.num_vars = rule.num_vars();
+    // Σ-headed rules enter from a ground goal (ProveSigma binds the
+    // head); Δ-headed rules enter unbound from the model fixpoint.
+    if (PartitionOf(rule.head.predicate) % 2 == 0) in.head = &rule.head;
+    in.modes = StratifiedModes(strat_, rule.premises);
+    rule_programs_.push_back(vm::Compile(in));
+    ++stats_.vm_programs_compiled;
   }
   domain_ = ComputeDomain(*rulebase_, *base_, extra_constants_);
   domain_set_.clear();
@@ -268,10 +265,8 @@ const EngineStats& StratifiedProver::stats() const {
   return stats_;
 }
 
-// The callbacks mirror the cascade walker's per-step semantics (and
-// counter order) exactly. Δ-model resolution is statusful — DeltaModelFor
-// may run a whole fixpoint — and happens BEFORE any membership check,
-// matching MatchPositive/TestNegated's resolution order.
+// Δ-model resolution is statusful — DeltaModelFor may run a whole
+// fixpoint — and happens BEFORE any membership check.
 template <typename EmitFn>
 struct StratifiedProver::VmHost {
   StratifiedProver* eng;
@@ -296,8 +291,8 @@ struct StratifiedProver::VmHost {
   Status OpenScan(const vm::Op& op, const std::vector<ConstId>&,
                   vm::ScanState* st) {
     // Base relation, overlay additions, then the Δ model if any (the
-    // building model can grow beneath a suspended scan; the executor's
-    // snapshot bound mirrors ForEachBaseCandidate's).
+    // building model can grow beneath a suspended scan; the enclosing
+    // fixpoint re-runs the rule until convergence).
     st->AddDb(eng->base_);
     st->AddOverlay(eng->overlay_.get());
     HYPO_ASSIGN_OR_RETURN(const Database* model, ModelFor(op.pred));
@@ -353,9 +348,9 @@ struct StratifiedProver::VmHost {
     return holds;
   }
 
-  /// TestNegated's Σ branch over op.free_vars (duplicate occurrences
-  /// kept — domain² semantics; register writes are dead, see
-  /// TabledEngine::VmHost::ExistsFrom).
+  /// A negated Σ premise: some grounding of op.free_vars over the domain
+  /// is provable (duplicate occurrences kept — domain² semantics; the
+  /// register writes are dead, later ops never read free registers).
   StatusOr<bool> ExistsFrom(const vm::Op& op, const Atom& atom, size_t v,
                             ConstId* regs) {
     if (v == op.free_vars.size()) {
@@ -381,6 +376,9 @@ struct StratifiedProver::VmHost {
                             ExistsFrom(op, atom, 0, regs.data()));
       return !exists;
     }
+    // Extensional or Δ: a negated same-segment Δ predicate belongs to a
+    // strictly lower substratum, whose tuples in the building model are
+    // already final.
     HYPO_ASSIGN_OR_RETURN(const Database* model, ModelFor(op.pred));
     if (op.code == vm::OpCode::kNegGround) {
       Fact f = vm::GroundAtom(atom, regs.data());
@@ -490,7 +488,7 @@ StatusOr<bool> StratifiedProver::ProveSigma(const Fact& goal,
   stats_.max_goal_depth = std::max<int64_t>(stats_.max_goal_depth, depth);
   goal_memo_[key] = GoalEntry{GoalEntry::Status::kInProgress, depth};
   // Same abort-recovery guard as TabledEngine::ProveGoal: an early error
-  // return (CheckLimits inside WalkPlan) must not leak the kInProgress
+  // return (CheckLimits inside a rule program) must not leak the kInProgress
   // entry, or later queries on this engine prune on a dead "on-stack"
   // goal. DeltaModelFor needs no guard — it memoizes its model only after
   // the fixpoint completes, so an abort leaves no partial Δ model behind.
@@ -508,40 +506,20 @@ StatusOr<bool> StratifiedProver::ProveSigma(const Fact& goal,
   bool proved = false;
   for (int rule_index : rulebase_->DefinitionOf(goal.predicate)) {
     const Rule& rule = rulebase_->rule(rule_index);
-    if (options_.executor == ExecutorKind::kVm &&
-        rule_index < static_cast<int>(rule_programs_.size())) {
-      const vm::Program& prog = rule_programs_[rule_index];
-      vm::FrameLease frame(&vm_frames_, prog.num_vars);
-      if (!vm::MatchHead(prog, goal.args, frame->regs.data())) continue;
-      // Σ rules never match against a Δ model under construction: the
-      // fresh context leaves building_ext null.
-      EvalContext sub;
-      sub.depth = depth + 1;
-      sub.min_pruned = &my_min;
-      auto emit = [&proved](const ConstId*) -> StatusOr<bool> {
-        proved = true;
-        return false;  // First proof wins; stop enumerating.
-      };
-      HYPO_RETURN_IF_ERROR(
-          RunProgram(rule.premises, prog, &sub, frame.get(), emit)
-              .status());
-      if (proved) break;
-      continue;
-    }
-    Binding binding(rule.num_vars());
-    std::vector<VarIndex> trail;
-    if (!binding.MatchTuple(rule.head, goal.args, &trail)) continue;
+    const vm::Program& prog = rule_programs_[rule_index];
+    vm::FrameLease frame(&vm_frames_, prog.num_vars);
+    if (!vm::MatchHead(prog, goal.args, frame->regs.data())) continue;
+    // Σ rules never match against a Δ model under construction: the
+    // fresh context leaves building_ext null.
     EvalContext sub;
     sub.depth = depth + 1;
     sub.min_pruned = &my_min;
-    // Σ rules never match against a Δ model under construction: clear it.
-    auto sink = [&proved](const Binding&) -> StatusOr<bool> {
+    auto emit = [&proved](const ConstId*) -> StatusOr<bool> {
       proved = true;
       return false;  // First proof wins; stop enumerating.
     };
-    StatusOr<bool> r = WalkPlan(rule.premises, rule_plans_[rule_index], 0,
-                                &binding, &sub, sink);
-    HYPO_RETURN_IF_ERROR(r.status());
+    HYPO_RETURN_IF_ERROR(
+        RunProgram(rule.premises, prog, &sub, frame.get(), emit).status());
     if (proved) break;
   }
 
@@ -605,7 +583,9 @@ StatusOr<const Database*> StratifiedProver::DeltaModelFor(int stratum_i) {
       std::vector<PredicateId> changed_now;
       for (int rule_index : substratum) {
         const Rule& rule = rulebase_->rule(rule_index);
-        if (options_.eval_strategy != EvalStrategy::kNaive && !first_round) {
+        // Rule-filter rounds: after the first, only rules with a premise
+        // over a predicate that changed last round can derive more.
+        if (!first_round) {
           bool relevant = false;
           for (const Premise& p : rule.premises) {
             if (changed_last_round.count(p.atom.predicate) > 0) {
@@ -620,34 +600,13 @@ StatusOr<const Database*> StratifiedProver::DeltaModelFor(int stratum_i) {
         ctx.min_pruned = &min_pruned;
         ctx.building_ext = model;
         ctx.building_partition = partition;
-        if (options_.executor == ExecutorKind::kVm &&
-            rule_index < static_cast<int>(rule_programs_.size())) {
-          const vm::Program& prog = rule_programs_[rule_index];
-          vm::FrameLease frame(&vm_frames_, prog.num_vars);
-          Fact head;  // Reused across emits; Insert copies it out.
-          auto emit = [&](const ConstId* r) -> StatusOr<bool> {
-            ++stats_.goals_expanded;
-            HYPO_RETURN_IF_ERROR(CheckLimits());
-            vm::GroundAtomInto(rule.head, r, &head);
-            if (!overlay_->Contains(head) && !model->Contains(head)) {
-              model->Insert(head);
-              ++stats_.facts_derived;
-              changed_now.push_back(head.predicate);
-            }
-            return true;
-          };
-          HYPO_RETURN_IF_ERROR(
-              RunProgram(rule.premises, prog, &ctx, frame.get(), emit)
-                  .status());
-          HYPO_DCHECK(min_pruned == INT_MAX)
-              << "Δ oracle computation pruned on an in-progress goal";
-          continue;
-        }
-        Binding binding(rule.num_vars());
-        auto sink = [&](const Binding& b) -> StatusOr<bool> {
+        const vm::Program& prog = rule_programs_[rule_index];
+        vm::FrameLease frame(&vm_frames_, prog.num_vars);
+        Fact head;  // Reused across emits; Insert copies it out.
+        auto emit = [&](const ConstId* r) -> StatusOr<bool> {
           ++stats_.goals_expanded;
           HYPO_RETURN_IF_ERROR(CheckLimits());
-          Fact head = b.Ground(rule.head);
+          vm::GroundAtomInto(rule.head, r, &head);
           if (!overlay_->Contains(head) && !model->Contains(head)) {
             model->Insert(head);
             ++stats_.facts_derived;
@@ -655,10 +614,9 @@ StatusOr<const Database*> StratifiedProver::DeltaModelFor(int stratum_i) {
           }
           return true;
         };
-        HYPO_RETURN_IF_ERROR(WalkPlan(rule.premises,
-                                      rule_plans_[rule_index], 0, &binding,
-                                      &ctx, sink)
-                                 .status());
+        HYPO_RETURN_IF_ERROR(
+            RunProgram(rule.premises, prog, &ctx, frame.get(), emit)
+                .status());
         // Lower-stratum oracle answers are definite: nothing shallower
         // can be in progress at this level (see class comment).
         HYPO_DCHECK(min_pruned == INT_MAX)
@@ -675,210 +633,6 @@ StatusOr<const Database*> StratifiedProver::DeltaModelFor(int stratum_i) {
   delta_model_bytes_ += result->ApproxBytes();
   delta_models_.emplace(key, std::move(ext));
   return result;
-}
-
-StatusOr<bool> StratifiedProver::WalkPlan(
-    const std::vector<Premise>& premises, const BodyPlan& plan, size_t step,
-    Binding* binding, EvalContext* ctx,
-    const std::function<StatusOr<bool>(const Binding&)>& sink) {
-  if (step == plan.steps.size()) return sink(*binding);
-  const PlanStep& ps = plan.steps[step];
-  auto next = [&]() -> StatusOr<bool> {
-    return WalkPlan(premises, plan, step + 1, binding, ctx, sink);
-  };
-  switch (ps.kind) {
-    case PlanStep::Kind::kMatchPositive:
-      return MatchPositive(premises[ps.premise_index].atom, binding, ctx,
-                           next);
-    case PlanStep::Kind::kEnumerateVars: {
-      std::function<StatusOr<bool>(size_t)> enumerate =
-          [&](size_t v) -> StatusOr<bool> {
-        if (v == ps.enum_vars.size()) return next();
-        VarIndex var = ps.enum_vars[v];
-        if (binding->IsBound(var)) return enumerate(v + 1);
-        for (ConstId c : domain_) {
-          HYPO_RETURN_IF_ERROR(CountEnumeration());
-          binding->Set(var, c);
-          StatusOr<bool> r = enumerate(v + 1);
-          binding->Unset(var);
-          HYPO_RETURN_IF_ERROR(r.status());
-          if (!*r) return false;
-        }
-        return true;
-      };
-      return enumerate(0);
-    }
-    case PlanStep::Kind::kHypothetical: {
-      const Premise& premise = premises[ps.premise_index];
-      if (!premise.deletions.empty()) {
-        return Status::Unimplemented(
-            "hypothetical deletion is supported only by TabledEngine");
-      }
-      Fact query = binding->Ground(premise.atom);
-      HYPO_FAILPOINT("stratified.hypo_push");
-      overlay_->PushFrame();
-      for (const Atom& a : premise.additions) {
-        overlay_->Add(binding->Ground(a));
-      }
-      EvalContext sub = *ctx;
-      sub.depth = ctx->depth + 1;
-      // The queried atom is evaluated in the *new* state; a Δ model under
-      // construction belongs to the old state and must not leak into it.
-      sub.building_ext = nullptr;
-      sub.building_partition = 0;
-      StatusOr<bool> holds = ProveGround(query, &sub);
-      overlay_->PopFrame();
-      HYPO_RETURN_IF_ERROR(holds.status());
-      if (!*holds) return true;  // Premise failed; keep enumerating.
-      return next();
-    }
-    case PlanStep::Kind::kNegated: {
-      HYPO_ASSIGN_OR_RETURN(
-          bool exists,
-          TestNegated(premises[ps.premise_index].atom, binding, ctx));
-      if (exists) return true;  // Some instance provable: premise fails.
-      return next();
-    }
-  }
-  return Status::Internal("unknown plan step");
-}
-
-StatusOr<bool> StratifiedProver::MatchPositive(
-    const Atom& atom, Binding* binding, EvalContext* ctx,
-    const std::function<StatusOr<bool>()>& next) {
-  int part = PartitionOf(atom.predicate);
-
-  if (part % 2 == 0 && part > 0) {
-    // Σ-defined predicate: instances cannot be enumerated from storage.
-    // Ground any free variables over the domain, then prove top-down.
-    std::vector<VarIndex> free;
-    for (const Term& t : atom.args) {
-      if (t.is_var() && !binding->IsBound(t.var_index())) {
-        free.push_back(t.var_index());
-      }
-    }
-    std::function<StatusOr<bool>(size_t)> enumerate =
-        [&](size_t v) -> StatusOr<bool> {
-      if (v == free.size()) {
-        EvalContext sub = *ctx;
-        sub.depth = ctx->depth + 1;
-        HYPO_ASSIGN_OR_RETURN(bool holds,
-                              ProveGround(binding->Ground(atom), &sub));
-        if (!holds) return true;
-        return next();
-      }
-      for (ConstId c : domain_) {
-        HYPO_RETURN_IF_ERROR(CountEnumeration());
-        binding->Set(free[v], c);
-        StatusOr<bool> r = enumerate(v + 1);
-        binding->Unset(free[v]);
-        HYPO_RETURN_IF_ERROR(r.status());
-        if (!*r) return false;
-      }
-      return true;
-    };
-    return enumerate(0);
-  }
-
-  // Extensional or Δ-defined: match against stored tuples.
-  const Database* model_ext = nullptr;
-  if (part % 2 == 1) {
-    if (ctx->building_ext != nullptr && part == ctx->building_partition) {
-      model_ext = ctx->building_ext;
-    } else {
-      HYPO_ASSIGN_OR_RETURN(model_ext, DeltaModelFor((part + 1) / 2));
-    }
-  }
-
-  if (binding->Grounds(atom)) {
-    Fact f = binding->Ground(atom);
-    bool holds = overlay_->Contains(f) ||
-                 (model_ext != nullptr && model_ext->Contains(f));
-    if (!holds) return true;
-    return next();
-  }
-
-  // Index-based: the building model can grow beneath us (the enclosing
-  // fixpoint re-runs the rule until convergence). The base relation and
-  // the Δ model use the first-argument access path when available.
-  std::vector<VarIndex> trail;
-  Status error;
-  bool stopped = false;
-  auto try_tuple = [&](const auto& tuple) -> bool {
-    ++stats_.join_probes;
-    if (!binding->MatchTuple(atom, tuple, &trail)) return true;
-    StatusOr<bool> r = next();
-    binding->Undo(&trail, 0);
-    if (!r.ok()) {
-      error = r.status();
-      return false;
-    }
-    if (!*r) {
-      stopped = true;
-      return false;
-    }
-    return true;
-  };
-  bool keep =
-      ForEachBaseCandidate(*base_, atom, *binding, try_tuple, &stats_);
-  if (keep) {
-    // Overlay additions via the first-argument access path; deletions are
-    // rejected by Init, so every added tuple is visible.
-    keep = ForEachAddedCandidate(*overlay_, atom, *binding, try_tuple);
-  }
-  if (keep && model_ext != nullptr) {
-    ForEachBaseCandidate(*model_ext, atom, *binding, try_tuple, &stats_);
-  }
-  HYPO_RETURN_IF_ERROR(error);
-  if (stopped) return false;
-  return true;
-}
-
-StatusOr<bool> StratifiedProver::TestNegated(const Atom& atom,
-                                             Binding* binding,
-                                             EvalContext* ctx) {
-  int part = PartitionOf(atom.predicate);
-  if (part % 2 == 0 && part > 0) {
-    // Negation of a Σ predicate from a strictly higher stratum: enumerate
-    // free variables and ask the complete lower-stratum procedure.
-    std::vector<VarIndex> free;
-    for (const Term& t : atom.args) {
-      if (t.is_var() && !binding->IsBound(t.var_index())) {
-        free.push_back(t.var_index());
-      }
-    }
-    std::function<StatusOr<bool>(size_t)> enumerate =
-        [&](size_t v) -> StatusOr<bool> {
-      if (v == free.size()) {
-        EvalContext sub = *ctx;
-        sub.depth = ctx->depth + 1;
-        return ProveGround(binding->Ground(atom), &sub);
-      }
-      for (ConstId c : domain_) {
-        HYPO_RETURN_IF_ERROR(CountEnumeration());
-        binding->Set(free[v], c);
-        StatusOr<bool> r = enumerate(v + 1);
-        binding->Unset(free[v]);
-        HYPO_RETURN_IF_ERROR(r.status());
-        if (*r) return true;  // Witness found.
-      }
-      return false;
-    };
-    return enumerate(0);
-  }
-
-  const Database* model_ext = nullptr;
-  if (part % 2 == 1) {
-    if (ctx->building_ext != nullptr && part == ctx->building_partition) {
-      // Negation inside Δ_i of a same-segment predicate: it belongs to a
-      // strictly lower substratum, whose tuples in the building model are
-      // already final.
-      model_ext = ctx->building_ext;
-    } else {
-      HYPO_ASSIGN_OR_RETURN(model_ext, DeltaModelFor((part + 1) / 2));
-    }
-  }
-  return ExistsStored(atom, binding, model_ext);
 }
 
 bool StratifiedProver::ExistsStored(const Atom& atom, Binding* binding,
@@ -919,7 +673,8 @@ StatusOr<bool> StratifiedProver::ProveFact(const Fact& fact) {
   return ProveGround(fact, &ctx);
 }
 
-StatusOr<bool> StratifiedProver::ProveQuery(const Query& query) {
+Status StratifiedProver::RunQuery(const Query& query,
+                                  std::vector<Tuple>* answers, bool* found) {
   if (!initialized_) HYPO_RETURN_IF_ERROR(Init());
   HYPO_RETURN_IF_ERROR(CheckQueryRestrictions(*rulebase_, query));
   HYPO_RETURN_IF_ERROR(EnsureConstants(query));
@@ -927,76 +682,40 @@ StatusOr<bool> StratifiedProver::ProveQuery(const Query& query) {
   Atom head = PseudoHead(query);
   BodyPlan plan =
       BodyPlan::Build(query.premises, &head, query.num_vars(), base_);
-  EvalContext ctx;
-  int min_pruned = INT_MAX;
-  ctx.min_pruned = &min_pruned;
-  bool found = false;
-  if (options_.executor == ExecutorKind::kVm) {
-    vm::CompileInput in;
-    in.premises = &query.premises;
-    in.plan = &plan;
-    in.num_vars = query.num_vars();
-    in.modes = StratifiedModes(strat_, query.premises);
-    vm::Program prog = vm::Compile(in);
-    ++stats_.vm_programs_compiled;
-    vm::FrameLease frame(&vm_frames_, prog.num_vars);
-    auto emit = [&found](const ConstId*) -> StatusOr<bool> {
-      found = true;
-      return false;
-    };
-    HYPO_RETURN_IF_ERROR(
-        RunProgram(query.premises, prog, &ctx, frame.get(), emit).status());
-    return found;
-  }
-  Binding binding(query.num_vars());
-  auto sink = [&found](const Binding&) -> StatusOr<bool> {
-    found = true;
-    return false;
-  };
-  HYPO_RETURN_IF_ERROR(
-      WalkPlan(query.premises, plan, 0, &binding, &ctx, sink).status());
-  return found;
-}
-
-StatusOr<std::vector<Tuple>> StratifiedProver::Answers(const Query& query) {
-  if (!initialized_) HYPO_RETURN_IF_ERROR(Init());
-  HYPO_RETURN_IF_ERROR(CheckQueryRestrictions(*rulebase_, query));
-  HYPO_RETURN_IF_ERROR(EnsureConstants(query));
-  GuardScope guard_scope(&guard_, options_, &stats_);
-  Atom head = PseudoHead(query);
-  BodyPlan plan =
-      BodyPlan::Build(query.premises, &head, query.num_vars(), base_);
+  vm::CompileInput in;
+  in.premises = &query.premises;
+  in.plan = &plan;
+  in.num_vars = query.num_vars();
+  in.modes = StratifiedModes(strat_, query.premises);
+  vm::Program prog = vm::Compile(in);
+  ++stats_.vm_programs_compiled;
   EvalContext ctx;
   int min_pruned = INT_MAX;
   ctx.min_pruned = &min_pruned;
   std::unordered_set<Tuple, TupleHash> seen;
-  std::vector<Tuple> answers;
-  if (options_.executor == ExecutorKind::kVm) {
-    vm::CompileInput in;
-    in.premises = &query.premises;
-    in.plan = &plan;
-    in.num_vars = query.num_vars();
-    in.modes = StratifiedModes(strat_, query.premises);
-    vm::Program prog = vm::Compile(in);
-    ++stats_.vm_programs_compiled;
-    vm::FrameLease frame(&vm_frames_, prog.num_vars);
-    auto emit = [&](const ConstId* r) -> StatusOr<bool> {
-      Tuple t(r, r + query.num_vars());
-      if (seen.insert(t).second) answers.push_back(std::move(t));
-      return true;
-    };
-    HYPO_RETURN_IF_ERROR(
-        RunProgram(query.premises, prog, &ctx, frame.get(), emit).status());
-    return answers;
-  }
-  Binding binding(query.num_vars());
-  auto sink = [&](const Binding& b) -> StatusOr<bool> {
-    Tuple t = b.values();
-    if (seen.insert(t).second) answers.push_back(std::move(t));
+  // The pseudo-head forces every query variable bound at emit, so the
+  // register file IS the answer tuple.
+  auto emit = [&](const ConstId* r) -> StatusOr<bool> {
+    *found = true;
+    if (answers == nullptr) return false;  // Stop at the first witness.
+    Tuple t(r, r + query.num_vars());
+    if (seen.insert(t).second) answers->push_back(std::move(t));
     return true;
   };
-  HYPO_RETURN_IF_ERROR(
-      WalkPlan(query.premises, plan, 0, &binding, &ctx, sink).status());
+  vm::FrameLease frame(&vm_frames_, prog.num_vars);
+  return RunProgram(query.premises, prog, &ctx, frame.get(), emit).status();
+}
+
+StatusOr<bool> StratifiedProver::ProveQuery(const Query& query) {
+  bool found = false;
+  HYPO_RETURN_IF_ERROR(RunQuery(query, nullptr, &found));
+  return found;
+}
+
+StatusOr<std::vector<Tuple>> StratifiedProver::Answers(const Query& query) {
+  std::vector<Tuple> answers;
+  bool found = false;
+  HYPO_RETURN_IF_ERROR(RunQuery(query, &answers, &found));
   return answers;
 }
 
@@ -1004,8 +723,7 @@ std::string StratifiedProver::ExplainPlans() const {
   if (!initialized_) return "stratified-prover: not initialized\n";
   std::ostringstream out;
   const SymbolTable& symbols = *base_->symbols_ptr();
-  out << "engine=stratified-prover executor="
-      << (options_.executor == ExecutorKind::kVm ? "vm" : "interp") << "\n";
+  out << "engine=stratified-prover\n";
   for (int r = 0; r < rulebase_->num_rules(); ++r) {
     const Rule& rule = rulebase_->rule(r);
     const bool sigma = PartitionOf(rule.head.predicate) % 2 == 0;
@@ -1014,11 +732,9 @@ std::string StratifiedProver::ExplainPlans() const {
         << rule.head.args.size() << (sigma ? " [sigma]" : " [delta]")
         << "\n";
     out << DescribePlan(rule_plans_[r], rule.premises, symbols);
-    if (r < static_cast<int>(rule_programs_.size())) {
-      out << (sigma ? "    bytecode (head-bound):\n"
-                    : "    bytecode (entry-unbound):\n")
-          << vm::Disassemble(rule_programs_[r], rule.premises, symbols);
-    }
+    out << (sigma ? "    bytecode (head-bound):\n"
+                  : "    bytecode (entry-unbound):\n")
+        << vm::Disassemble(rule_programs_[r], rule.premises, symbols);
   }
   return out.str();
 }

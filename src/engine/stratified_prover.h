@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
-#include <functional>
 
 #include "analysis/restricted.h"
 #include "analysis/stratification.h"
@@ -59,8 +58,8 @@ class StratifiedProver : public Engine {
   void ResetStats() override;
   std::string name() const override { return "stratified-prover"; }
 
-  /// Premise order, probe masks, and (VM mode) disassembled bytecode for
-  /// every rule: head-bound for Σ-headed rules, entry-unbound for
+  /// Premise order, probe masks, and disassembled bytecode for every
+  /// rule: head-bound for Σ-headed rules, entry-unbound for
   /// Δ-headed rules (run by the DeltaModelFor fixpoint).
   std::string ExplainPlans() const override;
 
@@ -115,7 +114,7 @@ class StratifiedProver : public Engine {
     }
   };
 
-  /// Evaluation context threaded through premise walking.
+  /// Evaluation context of one program run and the subproofs it spawns.
   struct EvalContext {
     int depth = 0;
     /// Accumulates the minimum recorded depth of any in-progress goal
@@ -145,15 +144,8 @@ class StratifiedProver : public Engine {
   /// Perfect model of Δ_i over the current overlay state (memoized).
   StatusOr<const Database*> DeltaModelFor(int stratum_i);
 
-  /// Recursive premise-plan walker; `sink` returns false to stop early.
-  StatusOr<bool> WalkPlan(const std::vector<Premise>& premises,
-                          const BodyPlan& plan, size_t step,
-                          Binding* binding, EvalContext* ctx,
-                          const std::function<StatusOr<bool>(
-                              const Binding&)>& sink);
-
-  /// VM executor host (see BottomUpEngine::VmHost for why this is a
-  /// nested class template). Defined in stratified_prover.cc.
+  /// The VM's host (see BottomUpEngine::VmHost for why this is a nested
+  /// class template). Defined in stratified_prover.cc.
   template <typename EmitFn>
   struct VmHost;
 
@@ -165,14 +157,10 @@ class StratifiedProver : public Engine {
                             vm::FrameStack::Frame* frame,
                             const EmitFn& emit);
 
-  /// Positive-premise matching: dispatches on the predicate's partition.
-  StatusOr<bool> MatchPositive(const Atom& atom, Binding* binding,
-                               EvalContext* ctx,
-                               const std::function<StatusOr<bool>()>& next);
-
-  /// Negated premise: ∄ semantics over still-unbound variables.
-  StatusOr<bool> TestNegated(const Atom& atom, Binding* binding,
-                             EvalContext* ctx);
+  /// Evaluates a query body, collecting answers (or stopping at the first
+  /// witness when `answers` is null).
+  Status RunQuery(const Query& query, std::vector<Tuple>* answers,
+                  bool* found);
 
   /// True iff some extension of `binding` matches `atom` among the stored
   /// relations (base, overlay, and the given Δ model if any).
@@ -215,8 +203,8 @@ class StratifiedProver : public Engine {
 
   LinearStratification strat_;
   std::vector<BodyPlan> rule_plans_;
-  /// One program per rule (VM executor only; empty under kInterp):
-  /// Σ-headed rules compile head-bound, Δ-headed rules entry-unbound.
+  /// One program per rule: Σ-headed rules compile head-bound, Δ-headed
+  /// rules entry-unbound.
   std::vector<vm::Program> rule_programs_;
   /// Reusable VM frames, depth-indexed for re-entrant subproofs. Safe as
   /// an engine member: the prover serves one query at a time.

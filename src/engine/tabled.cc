@@ -311,16 +311,14 @@ std::unique_ptr<TabledEngine::AdornedRules> TabledEngine::BuildAdorned(
     adorned->plans.push_back(BodyPlan::Build(rule.premises, &rule.head,
                                              rule.num_vars(), base_, &entry,
                                              rulebase_));
-    if (options_.executor == ExecutorKind::kVm) {
-      vm::CompileInput in;
-      in.premises = &rule.premises;
-      in.plan = &adorned->plans.back();
-      in.num_vars = rule.num_vars();
-      in.head = &rule.head;
-      in.head_bound = bound;
-      in.modes = TabledModes(*rulebase_, rule.premises);
-      adorned->programs.push_back(vm::Compile(in));
-    }
+    vm::CompileInput in;
+    in.premises = &rule.premises;
+    in.plan = &adorned->plans.back();
+    in.num_vars = rule.num_vars();
+    in.head = &rule.head;
+    in.head_bound = bound;
+    in.modes = TabledModes(*rulebase_, rule.premises);
+    adorned->programs.push_back(vm::Compile(in));
   }
   return adorned;
 }
@@ -399,8 +397,7 @@ std::string TabledEngine::ExplainPlans() const {
   if (!initialized_) return "tabled: not initialized\n";
   std::ostringstream out;
   const SymbolTable& symbols = *base_->symbols_ptr();
-  out << "engine=tabled executor="
-      << (options_.executor == ExecutorKind::kVm ? "vm" : "interp") << "\n";
+  out << "engine=tabled\n";
   // Compiled adornments per predicate, in adornment order.
   std::map<PredicateId, std::map<std::string, const AdornedRules*>> by_pred;
   for (const auto& [key, adorned] : adorned_) {
@@ -425,11 +422,8 @@ std::string TabledEngine::ExplainPlans() const {
       out << "  rule " << r << ": " << symbols.PredicateName(pred) << "/"
           << rule.head.args.size() << " [" << adornment << "]\n";
       out << DescribePlan(adorned->plans[k], rule.premises, symbols);
-      if (k < adorned->programs.size()) {
-        out << "    bytecode:\n"
-            << vm::Disassemble(adorned->programs[k], rule.premises,
-                               symbols);
-      }
+      out << "    bytecode:\n"
+          << vm::Disassemble(adorned->programs[k], rule.premises, symbols);
     }
   }
   return out.str();
@@ -457,10 +451,8 @@ const EngineStats& TabledEngine::stats() const {
   return stats_;
 }
 
-// The callbacks mirror the tabled WalkPlan's per-step semantics (and
-// counter order) exactly; every subproof runs at depth + 1 against the
-// same overlay, so suspended scans see frames pushed and popped beneath
-// them just as the interpreter's recursion does.
+// Every subproof runs at depth + 1 against the same overlay, so suspended
+// scans see frames pushed and popped beneath them.
 template <typename EmitFn>
 struct TabledEngine::VmHost {
   TabledEngine* eng;
@@ -764,41 +756,17 @@ StatusOr<bool> TabledEngine::RunRules(
   Fact head;
   for (size_t k = 0; k < adorned.rules.size(); ++k) {
     const Rule& rule = rulebase_->rule(adorned.rules[k]);
-    bool exhausted = true;
-    if (k < adorned.programs.size()) {
-      const vm::Program& prog = adorned.programs[k];
-      vm::FrameLease frame(&vm_frames_, prog.num_vars);
-      if (!vm::MatchHead(prog, args, frame->regs.data())) continue;
-      auto on_head = [&](const ConstId* regs) -> StatusOr<bool> {
-        vm::GroundAtomInto(rule.head, regs, &head);
-        return emit(head.args);
-      };
-      HYPO_ASSIGN_OR_RETURN(exhausted, RunProgram(rule.premises, prog,
-                                                  depth + 1, low,
-                                                  frame.get(), on_head));
-    } else {
-      // The bound columns of `args` are the head's entry bindings.
-      Binding binding(rule.num_vars());
-      bool matches = true;
-      for (size_t i = 0; i < args.size() && matches; ++i) {
-        if (args[i] == kUnbound) continue;
-        const Term& t = rule.head.args[i];
-        if (t.is_const()) {
-          matches = t.const_id() == args[i];
-        } else if (binding.IsBound(t.var_index())) {
-          matches = binding.Value(t.var_index()) == args[i];
-        } else {
-          binding.Set(t.var_index(), args[i]);
-        }
-      }
-      if (!matches) continue;
-      auto sink = [&](const Binding& b) -> StatusOr<bool> {
-        return emit(b.Ground(rule.head).args);
-      };
-      HYPO_ASSIGN_OR_RETURN(exhausted,
-                            WalkPlan(rule.premises, adorned.plans[k], 0,
-                                     &binding, depth + 1, low, sink));
-    }
+    // The bound columns of `args` are the head's entry bindings.
+    const vm::Program& prog = adorned.programs[k];
+    vm::FrameLease frame(&vm_frames_, prog.num_vars);
+    if (!vm::MatchHead(prog, args, frame->regs.data())) continue;
+    auto on_head = [&](const ConstId* regs) -> StatusOr<bool> {
+      vm::GroundAtomInto(rule.head, regs, &head);
+      return emit(head.args);
+    };
+    HYPO_ASSIGN_OR_RETURN(bool exhausted,
+                          RunProgram(rule.premises, prog, depth + 1, low,
+                                     frame.get(), on_head));
     if (!exhausted) return false;
   }
   return true;
@@ -918,131 +886,6 @@ void TabledEngine::AddAnswer(CallTable* table,
                  kAnswerIndexBytes;
 }
 
-StatusOr<bool> TabledEngine::WalkPlan(
-    const std::vector<Premise>& premises, const BodyPlan& plan, size_t step,
-    Binding* binding, int depth, int64_t* low,
-    const std::function<StatusOr<bool>(const Binding&)>& sink) {
-  if (step == plan.steps.size()) return sink(*binding);
-  const PlanStep& ps = plan.steps[step];
-  auto next = [&]() -> StatusOr<bool> {
-    return WalkPlan(premises, plan, step + 1, binding, depth, low, sink);
-  };
-  switch (ps.kind) {
-    case PlanStep::Kind::kMatchPositive: {
-      const Atom& atom = premises[ps.premise_index].atom;
-      if (!rulebase_->IsDefined(atom.predicate)) {
-        // Extensional: match stored tuples (base plus overlay additions).
-        if (binding->Grounds(atom)) {
-          if (!overlay_->Contains(binding->Ground(atom))) return true;
-          return next();
-        }
-        std::vector<VarIndex> trail;
-        Status error;
-        bool stopped = false;
-        auto try_tuple = [&](const auto& tuple) -> bool {
-          ++stats_.join_probes;
-          // Hypothetically deleted facts are masked, not removed.
-          if (!overlay_->TupleVisible(atom.predicate, tuple)) return true;
-          if (!binding->MatchTuple(atom, tuple, &trail)) return true;
-          StatusOr<bool> r = next();
-          binding->Undo(&trail, 0);
-          if (!r.ok()) {
-            error = r.status();
-            return false;
-          }
-          if (!*r) {
-            stopped = true;
-            return false;
-          }
-          return true;
-        };
-        // Base relation, then overlay additions, both via the
-        // bound-column access path when any column is bound.
-        if (ForEachBaseCandidate(*base_, atom, *binding, try_tuple,
-                                 &stats_)) {
-          ForEachAddedCandidate(*overlay_, atom, *binding, try_tuple);
-        }
-        HYPO_RETURN_IF_ERROR(error);
-        if (stopped) return false;
-        return true;
-      }
-      return MatchDefined(atom, binding, depth, low, next);
-    }
-    case PlanStep::Kind::kEnumerateVars: {
-      std::function<StatusOr<bool>(size_t)> enumerate =
-          [&](size_t v) -> StatusOr<bool> {
-        if (v == ps.enum_vars.size()) return next();
-        VarIndex var = ps.enum_vars[v];
-        if (binding->IsBound(var)) return enumerate(v + 1);
-        for (ConstId c : domain_) {
-          // Purely extensional domain^n loops expand no goals, so they
-          // must be metered here or max_steps never triggers.
-          HYPO_RETURN_IF_ERROR(CountEnumeration());
-          binding->Set(var, c);
-          StatusOr<bool> r = enumerate(v + 1);
-          binding->Unset(var);
-          HYPO_RETURN_IF_ERROR(r.status());
-          if (!*r) return false;
-        }
-        return true;
-      };
-      return enumerate(0);
-    }
-    case PlanStep::Kind::kHypothetical: {
-      const Premise& premise = premises[ps.premise_index];
-      Fact query = binding->Ground(premise.atom);
-      HYPO_FAILPOINT("tabled.hypo_push");
-      overlay_->PushFrame();
-      // Deletions apply before additions; a fact in both ends up present.
-      for (const Atom& a : premise.deletions) {
-        overlay_->Delete(binding->Ground(a));
-      }
-      for (const Atom& a : premise.additions) {
-        overlay_->Add(binding->Ground(a));
-      }
-      StatusOr<bool> holds = ProveGoal(query, depth + 1, low);
-      overlay_->PopFrame();
-      HYPO_RETURN_IF_ERROR(holds.status());
-      if (!*holds) return true;
-      return next();
-    }
-    case PlanStep::Kind::kNegated: {
-      HYPO_ASSIGN_OR_RETURN(
-          bool exists,
-          ExistsProvable(premises[ps.premise_index].atom, binding, depth,
-                         low));
-      if (exists) return true;
-      return next();
-    }
-  }
-  return Status::Internal("unknown plan step");
-}
-
-StatusOr<bool> TabledEngine::MatchDefined(
-    const Atom& atom, Binding* binding, int depth, int64_t* low,
-    const std::function<StatusOr<bool>()>& next) {
-  if (binding->Grounds(atom)) {
-    HYPO_ASSIGN_OR_RETURN(
-        bool holds, ProveGoal(binding->Ground(atom), depth + 1, low));
-    if (!holds) return true;
-    return next();
-  }
-  HYPO_ASSIGN_OR_RETURN(CallTable * table,
-                        SolveCall(PatternOf(atom, *binding), depth + 1, low));
-  const size_t arity = table->arity;
-  std::vector<VarIndex> trail;
-  // Dynamic bound: a recursive call's table grows while this loop runs.
-  for (size_t pos = 0; pos < table->num_answers(); ++pos) {
-    AnswerRow row{table->answers.data() + pos * arity, arity};
-    if (!binding->MatchTuple(atom, row, &trail)) continue;
-    StatusOr<bool> r = next();
-    binding->Undo(&trail, 0);
-    HYPO_RETURN_IF_ERROR(r.status());
-    if (!*r) return false;
-  }
-  return true;
-}
-
 StatusOr<bool> TabledEngine::ExistsProvable(const Atom& atom,
                                             Binding* binding, int depth,
                                             int64_t* low) {
@@ -1110,31 +953,22 @@ Status TabledEngine::RunQuery(const Query& query,
   std::unordered_set<Tuple, TupleHash> seen;
   // The pseudo-head forces every query variable bound at emit, so the
   // register file IS the answer tuple.
-  auto record = [&](const ConstId* values) -> bool {
+  auto emit = [&](const ConstId* r) -> StatusOr<bool> {
     *found = true;
-    if (answers == nullptr) return false;
-    Tuple t(values, values + query.num_vars());
+    if (answers == nullptr) return false;  // Stop at the first witness.
+    Tuple t(r, r + query.num_vars());
     if (seen.insert(t).second) answers->push_back(std::move(t));
     return true;
   };
-  if (options_.executor == ExecutorKind::kVm) {
-    vm::CompileInput in;
-    in.premises = &query.premises;
-    in.plan = &plan;
-    in.num_vars = query.num_vars();
-    in.modes = TabledModes(*rulebase_, query.premises);
-    vm::Program prog = vm::Compile(in);
-    ++stats_.vm_programs_compiled;
-    vm::FrameLease frame(&vm_frames_, prog.num_vars);
-    auto emit = [&](const ConstId* r) -> StatusOr<bool> { return record(r); };
-    return RunProgram(query.premises, prog, 0, &low, frame.get(), emit)
-        .status();
-  }
-  Binding binding(query.num_vars());
-  auto sink = [&](const Binding& b) -> StatusOr<bool> {
-    return record(b.values().data());
-  };
-  return WalkPlan(query.premises, plan, 0, &binding, 0, &low, sink)
+  vm::CompileInput in;
+  in.premises = &query.premises;
+  in.plan = &plan;
+  in.num_vars = query.num_vars();
+  in.modes = TabledModes(*rulebase_, query.premises);
+  vm::Program prog = vm::Compile(in);
+  ++stats_.vm_programs_compiled;
+  vm::FrameLease frame(&vm_frames_, prog.num_vars);
+  return RunProgram(query.premises, prog, 0, &low, frame.get(), emit)
       .status();
 }
 

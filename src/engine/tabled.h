@@ -23,8 +23,8 @@
 
 namespace hypo {
 
-/// The general reference engine: goal-directed, tabled, top-down
-/// evaluation of hypothetical rulebases with stratified negation.
+/// The general engine: goal-directed, tabled, top-down evaluation of
+/// hypothetical rulebases with stratified negation.
 ///
 /// Every defined predicate is proved by depth-first search over its rules
 /// with memoization per (ground goal, database state); hypothetical
@@ -56,8 +56,7 @@ namespace hypo {
 /// its answer is always definite.
 ///
 /// This engine accepts every rulebase of Definition 3 + stratified NAF —
-/// no linearity needed — and serves as the oracle that both other engines
-/// are cross-checked against.
+/// no linearity needed — and is the only one that evaluates [del:].
 class TabledEngine : public Engine {
  public:
   /// Neither pointer is owned; both must outlive the engine.
@@ -79,8 +78,8 @@ class TabledEngine : public Engine {
   void ResetStats() override;
   std::string name() const override { return "tabled"; }
 
-  /// Premise order, probe masks, and (VM mode) disassembled bytecode for
-  /// every compiled (rule, adornment) pair, e.g. `needs/2 [bf]`. A rule
+  /// Premise order, probe masks, and disassembled bytecode for every
+  /// compiled (rule, adornment) pair, e.g. `needs/2 [bf]`. A rule
   /// no query has reached yet is shown under its ground adornment.
   std::string ExplainPlans() const override;
 
@@ -92,7 +91,7 @@ class TabledEngine : public Engine {
   /// The governance fields (timeout_micros, max_memory_bytes, cancel) may
   /// be changed between queries — e.g. to retry a tripped query with a
   /// larger budget on the same warm engine. Changing the evaluation
-  /// fields (strategy, demand, threads) after Init() is undefined.
+  /// fields after Init() is undefined.
   EngineOptions* mutable_options() override { return &options_; }
 
   /// Shares settled goal-memo entries with a server-lifetime MemoBoard:
@@ -127,14 +126,14 @@ class TabledEngine : public Engine {
     }
   };
 
-  /// One predicate's rules planned (and, under the VM, compiled) for one
-  /// adornment. Built lazily on first use; dropped by Init().
+  /// One predicate's rules planned and compiled for one adornment. Built
+  /// lazily on first use; dropped by Init().
   struct AdornedRules {
     PredicateId pred = kInvalidPredicate;
     std::string adornment;              // Per head column: 'b' or 'f'.
     std::vector<int> rules;             // DefinitionOf(pred).
     std::vector<BodyPlan> plans;        // Parallel to `rules`.
-    std::vector<vm::Program> programs;  // VM executor only.
+    std::vector<vm::Program> programs;  // Parallel to `rules`.
   };
 
   /// The answer table of one call. Heap-allocated and never moved, so
@@ -234,33 +233,20 @@ class TabledEngine : public Engine {
                              const std::vector<Premise>& premises,
                              std::vector<bool> bound);
 
-  StatusOr<bool> WalkPlan(const std::vector<Premise>& premises,
-                          const BodyPlan& plan, size_t step,
-                          Binding* binding, int depth, int64_t* low,
-                          const std::function<StatusOr<bool>(
-                              const Binding&)>& sink);
-
-  /// VM executor host (see BottomUpEngine::VmHost for why this is a
-  /// nested class template). Defined in tabled.cc.
+  /// The VM's host (see BottomUpEngine::VmHost for why this is a nested
+  /// class template). Defined in tabled.cc.
   template <typename EmitFn>
   struct VmHost;
 
   /// Runs one compiled program; `frame->regs` arrives pre-seeded by
   /// MatchHead for rule programs (head-bound) or all-kUnbound for query
-  /// programs. `depth` is the WalkPlan-equivalent depth: every subproof
-  /// the host spawns runs at depth + 1, leasing its own frame.
+  /// programs. `depth` is the rule body's depth: every subproof the host
+  /// spawns runs at depth + 1, leasing its own frame.
   template <typename EmitFn>
   StatusOr<bool> RunProgram(const std::vector<Premise>& premises,
                             const vm::Program& prog, int depth,
                             int64_t* low, vm::FrameStack::Frame* frame,
                             const EmitFn& emit);
-
-  /// Matches a positive defined premise: a ground one is one goal, one
-  /// with free variables one call whose answers bind them; invokes
-  /// `next` per binding that holds.
-  StatusOr<bool> MatchDefined(const Atom& atom, Binding* binding, int depth,
-                              int64_t* low,
-                              const std::function<StatusOr<bool>()>& next);
 
   /// True iff some instance of `atom` extending `binding` is provable
   /// (the ∄ reading of negated premises): a goal when ground, a stored

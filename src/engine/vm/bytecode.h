@@ -30,9 +30,10 @@ enum class OpCode : uint8_t {
   /// A positive premise whose columns are all statically bound: one host
   /// membership test, no enumeration and no join_probes.
   kTestGround,
-  /// Bind one register from dom(R, DB). Choice point. Duplicate free
-  /// occurrences of one variable compile to one op each, replicating the
-  /// interpreter's nested-loop semantics (and enumeration counts) exactly.
+  /// Bind one register from dom(R, DB). Choice point. Each op is one
+  /// nested domain loop, counted once per candidate value; a variable
+  /// occurring free twice in a defined premise gets one op per occurrence
+  /// (see FreeOccurrences in compiler.cc).
   kEnumDomain,
   /// Ground subproof of a defined (IDB) premise — tabled ProveGoal /
   /// stratified ProveGround. All variables bound by preceding ops.
@@ -52,12 +53,12 @@ enum class OpCode : uint8_t {
   /// instance is NOT visible.
   kNegGround,
   /// Negated premise with free variables, refuted by a stored witness
-  /// (∄ reading). The host runs the interpreter's ExistsMatch/ExistsStored
-  /// probe over a scratch Binding seeded from the registers.
+  /// (∄ reading). The host runs its ExistsMatch/ExistsStored probe over a
+  /// scratch Binding seeded from the registers.
   kNegProbe,
   /// Negated premise with free variables, refuted by a provable witness:
-  /// the host enumerates dom(R, DB) over `free_vars` (duplicates kept,
-  /// matching the interpreter) and calls the engine's prover per tuple.
+  /// the host enumerates dom(R, DB) over `free_vars` (duplicates kept)
+  /// and calls the engine's prover per tuple.
   kNegCall,
   /// Complete instantiation: hand the registers to the sink. The sink
   /// returning false stops the whole enumeration (first-witness queries);
@@ -96,8 +97,8 @@ struct Op {
   int16_t prev_choice = -1;
   PredicateId pred = kInvalidPredicate;
   /// kScan/kCall: statically known bound-column signature of the probe —
-  /// equal by construction to the runtime BoundSignature the interpreter
-  /// would compute at this point. kNegProbe/kNegGround: the signature the
+  /// exact, because every register bound before this op is bound on every
+  /// path that reaches it. kNegProbe/kNegGround: the signature the
   /// host's runtime probe will use (recorded so PrepareIndex can cover
   /// it). Others: 0.
   ColumnMask mask = 0;
@@ -122,7 +123,7 @@ struct Op {
   /// columns), so their rechecks are skipped.
   std::vector<MatchAction> post;
   /// kNegCall: free-variable occurrences in argument order, duplicates
-  /// kept (the interpreter collects them the same way).
+  /// kept (see FreeOccurrences in compiler.cc).
   std::vector<VarIndex> free_vars;
   /// kNegProbe: the statically bound variables of the negated atom,
   /// deduplicated. The host seeds a scratch Binding from exactly these

@@ -36,10 +36,9 @@ void MarkBound(const Atom& atom, std::vector<bool>* bound) {
   }
 }
 
-/// Free-variable occurrences in argument order, duplicates kept — exactly
-/// the list the interpreter's MatchDefined/ExistsProvable/Σ paths collect
-/// (they filter on the binding before any enumeration Set, so a variable
-/// occurring free twice is listed twice and enumerates domain² times).
+/// Free-variable occurrences in argument order, duplicates kept: the list
+/// is taken before any of them is bound, so a variable occurring free
+/// twice is listed twice and enumerates domain² times.
 std::vector<VarIndex> FreeOccurrences(const Atom& atom,
                                       const std::vector<bool>& bound) {
   std::vector<VarIndex> free;
@@ -194,7 +193,7 @@ Program Compile(const CompileInput& in) {
       }
       case PlanStep::Kind::kEnumerateVars: {
         for (VarIndex v : step.enum_vars) {
-          if (bound[v]) continue;  // The interpreter's IsBound skip.
+          if (bound[v]) continue;  // Bound by an earlier step.
           push_enum(v);
           bound[v] = true;
         }

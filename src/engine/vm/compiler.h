@@ -31,8 +31,8 @@ struct CompileInput {
   /// Head-bound programs (top-down engines): when set, the compiler emits
   /// Program::head_match over this atom (first occurrence loads, later
   /// ones check, constants check) and treats every head variable as bound
-  /// at entry — exactly the boundness Binding::MatchTuple(head, goal)
-  /// establishes in the interpreter. Mutually exclusive with entry_bound.
+  /// at entry, as Binding::MatchTuple(head, goal) would. Mutually
+  /// exclusive with entry_bound.
   const Atom* head = nullptr;
   /// With `head`: the adornment, one entry per head column, true = bound
   /// by the call. Only bound columns get head_match actions and only
@@ -42,8 +42,7 @@ struct CompileInput {
   /// Registers bound before the program starts (e.g. head variables bound
   /// by the goal match in the top-down engines). Empty = none. Static
   /// boundness is exact: entry bindings are all-or-nothing per engine, so
-  /// the compiled masks equal the interpreter's runtime BoundSignature at
-  /// every step.
+  /// the compiled masks equal the bound columns at every step at run time.
   std::vector<bool> entry_bound;
   /// Bottom-up semi-naive versions: the positive premise designated to
   /// range over the delta relation, -1 for the full version.

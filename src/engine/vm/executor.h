@@ -17,10 +17,10 @@ namespace vm {
 /// (base database, derived model, overlay additions, DRed vis_plus),
 /// visited in order — or, for a kCall op, the call's answer table.
 /// Segments are declared at open time but each one is probed lazily when
-/// the cursor first reaches it — the interpreter probes each database's
-/// index only when the previous scan exhausts, and the probe counters
-/// (and the snapshot bound, for models that grow while scanned) must
-/// match.
+/// the cursor first reaches it, only after the previous segment is
+/// exhausted: the probe counters count only segments actually reached,
+/// and a model that grows while scanned is bounded when its segment is
+/// first probed.
 struct ScanState {
   static constexpr int kMaxSegments = 4;
 
@@ -167,8 +167,8 @@ inline bool MatchActions(const std::vector<MatchAction>& actions,
 }
 
 /// Runs `prog` against an engine host. Returns false iff the sink stopped
-/// the enumeration early (mirroring the interpretive walker's sink
-/// protocol), true when the program enumerated to exhaustion.
+/// the enumeration early (by returning false), true when the program
+/// enumerated to exhaustion.
 ///
 /// The host supplies storage, engine callbacks and metering:
 ///   Status OpenScan(const Op&, const std::vector<ConstId>& regs,
@@ -293,8 +293,7 @@ StatusOr<bool> Run(const Program& prog, Host* host,
           ++idx;
         }
         if (idx < domain.size()) {
-          // Metered per candidate value, exactly like the interpreter's
-          // enumeration loops (the check precedes the bind).
+          // Metered per candidate value; the check precedes the bind.
           HYPO_RETURN_IF_ERROR(host->CountEnumeration());
           regs[op.var] = domain[idx];
           ++pc;

@@ -292,6 +292,11 @@ StatusOr<QueryOutcome> QueryServer::Query(std::string_view text,
   return out;
 }
 
+void QueryServer::HoldEngineForTest(const std::function<void()>& fn) {
+  EngineLease lease(this, CheckOut(), &QueryServer::CheckIn);
+  fn();
+}
+
 std::string QueryServer::Explain() {
   std::shared_lock<std::shared_mutex> epoch_lock(epoch_mu_);
   EngineLease lease(this, CheckOut(), &QueryServer::CheckIn);

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -238,6 +239,10 @@ class QueryServer {
   /// of a pooled engine (they are interchangeable — all compiled from the
   /// same rulebase at the same epoch). Blocks while all engines are busy.
   std::string Explain();
+
+  /// Test hook: runs `fn` while the engine the next query would lease is
+  /// checked out, so queries `fn` issues run on a sibling engine.
+  void HoldEngineForTest(const std::function<void()>& fn);
 
   const ServerOptions& options() const { return options_; }
 

@@ -2,7 +2,7 @@
 // search used to fall off an exponential cliff (chains, cycles, shortcut
 // DAGs, complete digraphs with an unreachable target, both recursion
 // directions) and on the registrar shape the server benchmark replays,
-// the tabled engine (both executors) must agree with the bottom-up engine
+// the tabled engine must agree with the bottom-up engine
 // AND answer every query within a step budget polynomial in |DB|.
 //
 // Steps are goals_expanded + enumerations — exactly what max_steps
@@ -116,9 +116,9 @@ class CostTest : public ::testing::Test {
     return rows;
   }
 
-  /// Runs every query on a fresh tabled engine per executor and on the
-  /// bottom-up engine; answers must agree and each tabled query must stay
-  /// within the budget.
+  /// Runs every query on a fresh tabled engine and on the bottom-up
+  /// engine; answers must agree and each tabled query must stay within
+  /// the budget.
   void Check(const std::string& label, const RuleBase& rules,
              const Database& db, const std::vector<std::string>& queries) {
     const int64_t budget = kStepsPerFact * db.size();
@@ -134,28 +134,18 @@ class CostTest : public ::testing::Test {
       int64_t bottom_up_steps = 0;
       auto expected = Run(&bottom_up, query, &bottom_up_steps);
       ASSERT_TRUE(expected.ok()) << expected.status();
-      int64_t tabled_steps[2] = {0, 0};
-      for (ExecutorKind executor :
-           {ExecutorKind::kVm, ExecutorKind::kInterp}) {
-        EngineOptions o = options;
-        o.executor = executor;
-        TabledEngine tabled(&rules, &db, o);
-        int64_t& steps = tabled_steps[executor == ExecutorKind::kVm ? 0 : 1];
-        auto got = Run(&tabled, query, &steps);
-        ASSERT_TRUE(got.ok()) << got.status();
-        EXPECT_EQ(*got, *expected)
-            << (executor == ExecutorKind::kVm ? "vm" : "interp")
-            << " disagrees with bottom-up";
-        EXPECT_LE(steps, budget)
-            << "tabled steps not within " << kStepsPerFact << " x |DB|";
-      }
-      EXPECT_EQ(tabled_steps[0], tabled_steps[1])
-          << "the executors searched differently";
+      TabledEngine tabled(&rules, &db, options);
+      int64_t tabled_steps = 0;
+      auto got = Run(&tabled, query, &tabled_steps);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*got, *expected) << "tabled disagrees with bottom-up";
+      EXPECT_LE(tabled_steps, budget)
+          << "tabled steps not within " << kStepsPerFact << " x |DB|";
       std::printf("[cost] %-18s |DB|=%-6lld %-36s tabled=%-6lld "
                   "(%.2f/fact) bottomup=%lld answers=%zu\n",
                   label.c_str(), static_cast<long long>(db.size()),
-                  text.c_str(), static_cast<long long>(tabled_steps[0]),
-                  static_cast<double>(tabled_steps[0]) /
+                  text.c_str(), static_cast<long long>(tabled_steps),
+                  static_cast<double>(tabled_steps) /
                       static_cast<double>(db.size()),
                   static_cast<long long>(bottom_up_steps), expected->size());
     }

@@ -24,7 +24,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,6 +36,7 @@
 #include "engine/stratified_prover.h"
 #include "engine/tabled.h"
 #include "parser/parser.h"
+#include "reference_eval.h"
 #include "server/protocol.h"
 #include "server/query_server.h"
 #include "workload/random_programs.h"
@@ -396,34 +396,6 @@ TEST_F(CrossQueryTest, EpochBumpRepairRepublishAdoptInterleaving) {
 // ---------------------------------------------------------------------------
 // Differential: the board must never change an answer.
 
-/// Same contract as differential_test's DeriveAll: all derivable ground
-/// IDB facts by odometer enumeration.
-StatusOr<std::set<std::string>> DeriveAll(Engine* engine,
-                                          const ProgramFixture& fixture) {
-  std::set<std::string> facts;
-  const SymbolTable& symbols = fixture.rules.symbols();
-  for (int pred = 0; pred < symbols.num_predicates(); ++pred) {
-    if (!fixture.rules.IsDefined(pred)) continue;
-    int arity = symbols.PredicateArity(pred);
-    std::vector<int> index(arity, 0);
-    while (true) {
-      Fact fact;
-      fact.predicate = pred;
-      for (int i = 0; i < arity; ++i) fact.args.push_back(index[i]);
-      HYPO_ASSIGN_OR_RETURN(bool holds, engine->ProveFact(fact));
-      if (holds) facts.insert(FactToString(fact, symbols));
-      int pos = arity - 1;
-      while (pos >= 0 &&
-             ++index[pos] == symbols.num_consts()) {
-        index[pos] = 0;
-        --pos;
-      }
-      if (pos < 0 || arity == 0) break;
-    }
-  }
-  return facts;
-}
-
 TEST(CrossQueryDifferential, BoardOnOffBitIdenticalAcrossEnginesAndThreads) {
   RandomProgramOptions options;
   int tested = 0;
@@ -435,10 +407,10 @@ TEST(CrossQueryDifferential, BoardOnOffBitIdenticalAcrossEnginesAndThreads) {
     engine_options.max_states = 40'000;
     engine_options.max_steps = 3'000'000;
 
-    // Ground truth: board-less tabled engine.
-    TabledEngine reference_engine(&fixture.rules, &fixture.db,
-                                  engine_options);
-    auto reference = DeriveAll(&reference_engine, fixture);
+    // Ground truth: the reference evaluator, over every symbol constant.
+    const std::vector<ConstId> domain = AllConstants(*fixture.symbols);
+    ReferenceEngine reference_engine(&fixture.rules, &fixture.db, domain);
+    auto reference = DeriveAll(&reference_engine, fixture.rules, domain);
     if (!reference.ok()) {
       ASSERT_EQ(reference.status().code(), StatusCode::kResourceExhausted)
           << reference.status();
@@ -469,7 +441,10 @@ TEST(CrossQueryDifferential, BoardOnOffBitIdenticalAcrossEnginesAndThreads) {
                                engine_options);
         warm->AttachMemoBoard(&board);
         for (Engine* engine : {cold.get(), warm.get()}) {
-          auto derived = DeriveAll(engine, fixture);
+          Status pinned = PinDomain(engine, fixture.rules, domain);
+          auto derived = pinned.ok()
+                             ? DeriveAll(engine, fixture.rules, domain)
+                             : StatusOr<std::set<std::string>>(pinned);
           if (!derived.ok()) {
             ASSERT_EQ(derived.status().code(),
                       StatusCode::kResourceExhausted)
@@ -525,11 +500,10 @@ TEST(CrossQueryServerTest, CountersSurfaceContextReuseAndRejections) {
 }
 
 TEST(CrossQueryServerTest, CountersSurfaceCrossQueryHits) {
-  // Engine leasing is LIFO, so the sibling engine only serves while the
-  // primary is busy; a chain long enough to keep the all-pairs query busy
-  // for a while makes two concurrent queries overlap (retried in the rare
-  // case they don't). The sibling's first serve adopts the base model the
-  // primary already published.
+  // Engine leasing is LIFO, so sequential queries all run on one primary
+  // engine. Holding the primary checked out makes the next query run on
+  // its sibling, whose first serve adopts the base model the primary
+  // already published.
   std::string program =
       "reach(X, Y) <- edge(X, Y).\n"
       "reach(X, Z) <- edge(X, Y), reach(Y, Z).\n";
@@ -544,16 +518,14 @@ TEST(CrossQueryServerTest, CountersSurfaceCrossQueryHits) {
   ASSERT_TRUE(server.ok()) << server.status();
 
   ASSERT_TRUE((*server)->Query("reach(n0, n1)").ok());  // Publish.
-  for (int attempt = 0;
-       attempt < 50 && (*server)->counters().cache_hits_cross_query == 0;
-       ++attempt) {
-    std::thread other([&] { (void)(*server)->Query("reach(X, Y)"); });
+  (*server)->HoldEngineForTest([&] {
     auto q = (*server)->Query("reach(X, Y)");
-    EXPECT_TRUE(q.ok()) << q.status();
-    other.join();
-  }
-  EXPECT_GT((*server)->counters().cache_hits_cross_query, 0)
-      << "sibling engine never adopted the published base model";
+    ASSERT_TRUE(q.ok()) << q.status();
+    EXPECT_EQ(q->answers.size(), 121u * 120u / 2u);
+    EXPECT_GT(q->stats.cache_hits_cross_query, 0)
+        << "sibling engine did not adopt the published base model";
+  });
+  EXPECT_GT((*server)->counters().cache_hits_cross_query, 0);
 }
 
 TEST(CrossQueryServerTest, CacheOffEscapeHatchChangesNoAnswers) {

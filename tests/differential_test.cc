@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,210 +13,152 @@
 #include "engine/stratified_prover.h"
 #include "engine/tabled.h"
 #include "queries/parity.h"
+#include "reference_eval.h"
 #include "workload/random_programs.h"
 
 namespace hypo {
 namespace {
 
-/// Collects, for every IDB predicate, the full set of derivable ground
-/// facts by querying each ground atom over the domain.
-StatusOr<std::set<std::string>> DeriveAll(Engine* engine,
-                                          const ProgramFixture& fixture) {
-  std::set<std::string> facts;
-  const SymbolTable& symbols = fixture.rules.symbols();
-  std::vector<ConstId> domain;
-  for (int c = 0; c < symbols.num_consts(); ++c) domain.push_back(c);
+EngineOptions FuzzOptions() {
+  EngineOptions options;
+  options.max_states = 40'000;
+  options.max_steps = 3'000'000;
+  // Cross-check every memoized goal lookup against the from-scratch
+  // canonical overlay key (cheap here: overlays stay small).
+  options.validate_contexts = true;
+  return options;
+}
 
-  for (int pred = 0; pred < symbols.num_predicates(); ++pred) {
-    if (!fixture.rules.IsDefined(pred)) continue;
-    int arity = symbols.PredicateArity(pred);
-    // Enumerate every ground atom of this predicate.
-    std::vector<int> index(arity, 0);
-    while (true) {
-      Fact fact;
-      fact.predicate = pred;
-      for (int i = 0; i < arity; ++i) fact.args.push_back(domain[index[i]]);
-      HYPO_ASSIGN_OR_RETURN(bool holds, engine->ProveFact(fact));
-      if (holds) facts.insert(FactToString(fact, symbols));
-      // Advance the odometer.
-      int pos = arity - 1;
-      while (pos >= 0 &&
-             ++index[pos] == static_cast<int>(domain.size())) {
-        index[pos] = 0;
-        --pos;
+/// DeriveAll over every symbol constant, with the engine's domain pinned
+/// to them first (see PinDomain).
+StatusOr<std::set<std::string>> PinnedDeriveAll(Engine* engine,
+                                                const ProgramFixture& f) {
+  const std::vector<ConstId> domain = AllConstants(*f.symbols);
+  HYPO_RETURN_IF_ERROR(PinDomain(engine, f.rules, domain));
+  return DeriveAll(engine, f.rules, domain);
+}
+
+/// Compares `engine` with the reference evaluator's `expected` facts.
+/// Returns false (a skip) when the engine ran out of resources.
+bool AgreesWithReference(Engine* engine, const ProgramFixture& f,
+                         const std::set<std::string>& expected,
+                         const std::string& label) {
+  auto derived = PinnedDeriveAll(engine, f);
+  if (!derived.ok()) {
+    EXPECT_EQ(derived.status().code(), StatusCode::kResourceExhausted)
+        << label << ": " << derived.status();
+    return false;
+  }
+  EXPECT_EQ(*derived, expected) << label << " program:\n"
+                                << RuleBaseToString(f.rules);
+  return true;
+}
+
+/// The reference evaluator's facts over every symbol constant, or
+/// nullopt (a skip) when it exceeds its state cap.
+std::optional<std::set<std::string>> ReferenceFacts(const ProgramFixture& f) {
+  const std::vector<ConstId> domain = AllConstants(*f.symbols);
+  ReferenceEngine reference(&f.rules, &f.db, domain);
+  auto facts = DeriveAll(&reference, f.rules, domain);
+  if (!facts.ok()) {
+    EXPECT_EQ(facts.status().code(), StatusCode::kResourceExhausted)
+        << facts.status();
+    return std::nullopt;
+  }
+  return *std::move(facts);
+}
+
+/// Every engine (the stratified prover when the program is linearly
+/// stratifiable) against the reference evaluator, on `count` programs of
+/// one mix. Returns the number of engine comparisons made.
+int EnginesAgreeWithReference(const RandomProgramOptions& options,
+                              uint64_t first_seed, int count,
+                              int* stratified_compared) {
+  int compared = 0;
+  for (uint64_t seed = first_seed; seed < first_seed + count; ++seed) {
+    Random rng(seed);
+    ProgramFixture fixture = MakeRandomProgram(options, &rng);
+    std::optional<std::set<std::string>> expected = ReferenceFacts(fixture);
+    if (!expected) continue;
+    const std::string label = "seed " + std::to_string(seed);
+    TabledEngine tabled(&fixture.rules, &fixture.db, FuzzOptions());
+    compared += AgreesWithReference(&tabled, fixture, *expected,
+                                    "tabled " + label);
+    BottomUpEngine bottom_up(&fixture.rules, &fixture.db, FuzzOptions());
+    compared += AgreesWithReference(&bottom_up, fixture, *expected,
+                                    "bottom-up " + label);
+    if (CheckLinearlyStratifiable(fixture.rules).ok()) {
+      StratifiedProver prover(&fixture.rules, &fixture.db, FuzzOptions());
+      if (AgreesWithReference(&prover, fixture, *expected,
+                              "stratified " + label)) {
+        ++compared;
+        ++*stratified_compared;
       }
-      if (pos < 0) break;
-      if (arity == 0) break;
-    }
-    if (arity == 0) {
-      // Handled above (single iteration).
     }
   }
-  return facts;
+  return compared;
 }
 
 TEST(DifferentialTest, EnginesAgreeOnRandomPrograms) {
-  RandomProgramOptions options;
-  int tested = 0;
-  int skipped = 0;
-  int stratified_covered = 0;
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    Random rng(seed);
-    ProgramFixture fixture = MakeRandomProgram(options, &rng);
-
-    EngineOptions engine_options;
-    engine_options.max_states = 40'000;
-    engine_options.max_steps = 3'000'000;
-    // Cross-check every memoized goal lookup against the from-scratch
-    // canonical overlay key (cheap here: overlays stay small).
-    engine_options.validate_contexts = true;
-
-    TabledEngine tabled(&fixture.rules, &fixture.db, engine_options);
-    auto reference = DeriveAll(&tabled, fixture);
-    if (!reference.ok()) {
-      ASSERT_EQ(reference.status().code(), StatusCode::kResourceExhausted)
-          << reference.status();
-      ++skipped;
-      continue;
-    }
-
-    BottomUpEngine bottom_up(&fixture.rules, &fixture.db, engine_options);
-    auto eager = DeriveAll(&bottom_up, fixture);
-    if (eager.ok()) {
-      EXPECT_EQ(*eager, *reference)
-          << "seed " << seed << " program:\n"
-          << RuleBaseToString(fixture.rules);
-    } else {
-      ASSERT_EQ(eager.status().code(), StatusCode::kResourceExhausted);
-      ++skipped;
-    }
-
-    if (CheckLinearlyStratifiable(fixture.rules).ok()) {
-      StratifiedProver prover(&fixture.rules, &fixture.db, engine_options);
-      ASSERT_TRUE(prover.Init().ok());
-      auto strat = DeriveAll(&prover, fixture);
-      if (strat.ok()) {
-        EXPECT_EQ(*strat, *reference)
-            << "seed " << seed << " program:\n"
-            << RuleBaseToString(fixture.rules);
-        ++stratified_covered;
-      } else {
-        ASSERT_EQ(strat.status().code(), StatusCode::kResourceExhausted);
-        ++skipped;
-      }
-    }
-    ++tested;
-  }
-  EXPECT_GE(tested, 30) << "too many programs skipped (" << skipped << ")";
-  EXPECT_GE(stratified_covered, 5)
+  int stratified = 0;
+  EXPECT_GE(EnginesAgreeWithReference(RandomProgramOptions(), 0, 40,
+                                      &stratified),
+            100);
+  EXPECT_GE(stratified, 25)
       << "the generator should produce linearly stratifiable programs too";
 }
 
-TEST(DifferentialTest, DeletionProgramsTabledSelfConsistent) {
+TEST(DifferentialTest, DeletionProgramsAgreeWithReference) {
   // Random programs whose hypothetical premises carry [del: ...] groups.
-  // Only the TabledEngine supports deletions: it must agree with itself
-  // memo-warm vs memo-cold (same engine asked twice, fresh engine), with
-  // the interned-context oracle enabled; the other engines must reject
-  // such programs cleanly at Init.
+  // Only the TabledEngine supports deletions: it must agree with the
+  // reference evaluator memo-cold, memo-warm (same engine asked twice)
+  // and on a fresh engine, with the interned-context oracle enabled; the
+  // other engines must reject such programs cleanly at Init.
   RandomProgramOptions options;
   options.num_rules = 6;
   options.hypothetical_probability = 0.5;
   options.deletion_probability = 0.5;
-  int tested = 0;
-  for (uint64_t seed = 300; seed < 320; ++seed) {
+  int compared = 0;
+  for (uint64_t seed = 300; seed < 330; ++seed) {
     Random rng(seed);
     ProgramFixture fixture = MakeRandomProgram(options, &rng);
     if (!fixture.rules.HasDeletions()) continue;
+    BottomUpEngine bottom_up(&fixture.rules, &fixture.db, FuzzOptions());
+    EXPECT_EQ(bottom_up.Init().code(), StatusCode::kUnimplemented);
+    StratifiedProver prover(&fixture.rules, &fixture.db, FuzzOptions());
+    EXPECT_EQ(prover.Init().code(), StatusCode::kUnimplemented);
 
-    EngineOptions engine_options;
-    engine_options.max_states = 40'000;
-    engine_options.max_steps = 3'000'000;
-    engine_options.validate_contexts = true;
-
-    TabledEngine engine(&fixture.rules, &fixture.db, engine_options);
-    auto cold = DeriveAll(&engine, fixture);
-    if (!cold.ok()) {
-      ASSERT_EQ(cold.status().code(), StatusCode::kResourceExhausted)
-          << cold.status();
+    std::optional<std::set<std::string>> expected = ReferenceFacts(fixture);
+    if (!expected) continue;
+    const std::string label = "seed " + std::to_string(seed);
+    TabledEngine engine(&fixture.rules, &fixture.db, FuzzOptions());
+    if (!AgreesWithReference(&engine, fixture, *expected, "cold " + label)) {
       continue;
     }
-    auto warm = DeriveAll(&engine, fixture);
-    ASSERT_TRUE(warm.ok()) << warm.status();
-    EXPECT_EQ(*warm, *cold)
-        << "seed " << seed << ": memo-warm replay diverged, program:\n"
-        << RuleBaseToString(fixture.rules);
-
-    TabledEngine fresh(&fixture.rules, &fixture.db, engine_options);
-    auto refreshed = DeriveAll(&fresh, fixture);
-    ASSERT_TRUE(refreshed.ok()) << refreshed.status();
-    EXPECT_EQ(*refreshed, *cold)
-        << "seed " << seed << ": fresh engine diverged, program:\n"
-        << RuleBaseToString(fixture.rules);
-
-    BottomUpEngine bottom_up(&fixture.rules, &fixture.db, engine_options);
-    EXPECT_EQ(bottom_up.Init().code(), StatusCode::kUnimplemented);
-    StratifiedProver prover(&fixture.rules, &fixture.db, engine_options);
-    EXPECT_EQ(prover.Init().code(), StatusCode::kUnimplemented);
-    ++tested;
+    // Once the cold run fits the budget, the warm replay and a fresh engine
+    // must fit it too: a skip there is a failure, not a skip.
+    const bool warm =
+        AgreesWithReference(&engine, fixture, *expected, "warm " + label);
+    EXPECT_TRUE(warm) << "memo-warm replay ran out of resources, " << label;
+    TabledEngine fresh(&fixture.rules, &fixture.db, FuzzOptions());
+    const bool refreshed =
+        AgreesWithReference(&fresh, fixture, *expected, "fresh " + label);
+    EXPECT_TRUE(refreshed) << "fresh engine ran out of resources, " << label;
+    if (warm && refreshed) ++compared;
   }
-  EXPECT_GE(tested, 8) << "generator produced too few deletion programs";
+  EXPECT_GE(compared, 25) << "too few deletion programs compared";
 }
 
 TEST(DifferentialTest, NestedHypotheticalsAgreeAcrossEngines) {
   // Hypothetical-dense programs: IDB predicates may be queried inside
-  // hypothetical premises, so proofs routinely stack overlay frames. All
-  // three engines must produce identical answer sets, with the interned
-  // context id cross-validated on every memoized lookup.
+  // hypothetical premises, so proofs routinely stack overlay frames.
   RandomProgramOptions options;
   options.num_rules = 6;
   options.hypothetical_probability = 0.6;
   options.negation_probability = 0.15;
-  int tested = 0;
-  int stratified_covered = 0;
-  for (uint64_t seed = 400; seed < 420; ++seed) {
-    Random rng(seed);
-    ProgramFixture fixture = MakeRandomProgram(options, &rng);
-
-    EngineOptions engine_options;
-    engine_options.max_states = 40'000;
-    engine_options.max_steps = 3'000'000;
-    engine_options.validate_contexts = true;
-
-    TabledEngine tabled(&fixture.rules, &fixture.db, engine_options);
-    auto reference = DeriveAll(&tabled, fixture);
-    if (!reference.ok()) {
-      ASSERT_EQ(reference.status().code(), StatusCode::kResourceExhausted)
-          << reference.status();
-      continue;
-    }
-
-    BottomUpEngine bottom_up(&fixture.rules, &fixture.db, engine_options);
-    auto eager = DeriveAll(&bottom_up, fixture);
-    if (eager.ok()) {
-      EXPECT_EQ(*eager, *reference)
-          << "seed " << seed << " program:\n"
-          << RuleBaseToString(fixture.rules);
-    } else {
-      ASSERT_EQ(eager.status().code(), StatusCode::kResourceExhausted);
-    }
-
-    if (CheckLinearlyStratifiable(fixture.rules).ok()) {
-      StratifiedProver prover(&fixture.rules, &fixture.db, engine_options);
-      ASSERT_TRUE(prover.Init().ok());
-      auto strat = DeriveAll(&prover, fixture);
-      if (strat.ok()) {
-        EXPECT_EQ(*strat, *reference)
-            << "seed " << seed << " program:\n"
-            << RuleBaseToString(fixture.rules);
-        ++stratified_covered;
-      } else {
-        ASSERT_EQ(strat.status().code(), StatusCode::kResourceExhausted);
-      }
-    }
-    ++tested;
-  }
-  EXPECT_GE(tested, 12) << "too many hypothetical-dense programs skipped";
-  EXPECT_GE(stratified_covered, 3);
+  int stratified = 0;
+  EXPECT_GE(EnginesAgreeWithReference(options, 400, 20, &stratified), 50);
+  EXPECT_GE(stratified, 12);
 }
 
 TEST(DifferentialTest, MonotoneForNegationFreePrograms) {
@@ -231,7 +174,7 @@ TEST(DifferentialTest, MonotoneForNegationFreePrograms) {
     EngineOptions engine_options;
     engine_options.max_states = 40'000;
     TabledEngine before(&fixture.rules, &fixture.db, engine_options);
-    auto derived_before = DeriveAll(&before, fixture);
+    auto derived_before = PinnedDeriveAll(&before, fixture);
     if (!derived_before.ok()) continue;
 
     // Add one fresh EDB fact.
@@ -246,7 +189,7 @@ TEST(DifferentialTest, MonotoneForNegationFreePrograms) {
     fixture.db.Insert(extra);
 
     TabledEngine after(&fixture.rules, &fixture.db, engine_options);
-    auto derived_after = DeriveAll(&after, fixture);
+    auto derived_after = PinnedDeriveAll(&after, fixture);
     if (!derived_after.ok()) continue;
 
     EXPECT_TRUE(std::includes(derived_after->begin(), derived_after->end(),
@@ -394,6 +337,9 @@ TEST(DifferentialTest, IncrementalDeltaMatchesRebuildAcrossInterleavings) {
       std::unique_ptr<Engine> live =
           make_engine(config.name, fixture, engine_options);
       ASSERT_TRUE(live->Init().ok());
+      ASSERT_TRUE(PinDomain(live.get(), fixture.rules,
+                            AllConstants(*fixture.symbols))
+                      .ok());
 
       SymbolTable* symbols = fixture.symbols.get();
       auto random_fact = [&](const char* stem, int count) -> Fact {
@@ -444,7 +390,7 @@ TEST(DifferentialTest, IncrementalDeltaMatchesRebuildAcrossInterleavings) {
             << config.name << "/t" << config.threads << " seed " << seed
             << " step " << step << ": " << applied;
 
-        auto incremental = DeriveAll(live.get(), fixture);
+        auto incremental = PinnedDeriveAll(live.get(), fixture);
         if (!incremental.ok()) {
           ASSERT_EQ(incremental.status().code(),
                     StatusCode::kResourceExhausted);
@@ -453,7 +399,7 @@ TEST(DifferentialTest, IncrementalDeltaMatchesRebuildAcrossInterleavings) {
         }
         std::unique_ptr<Engine> rebuilt =
             make_engine(config.name, fixture, engine_options);
-        auto scratch = DeriveAll(rebuilt.get(), fixture);
+        auto scratch = PinnedDeriveAll(rebuilt.get(), fixture);
         if (!scratch.ok()) {
           ASSERT_EQ(scratch.status().code(), StatusCode::kResourceExhausted);
           skipped = true;

@@ -77,22 +77,6 @@ TEST_F(EngineEdgeTest, MemoReuseAcrossQueries) {
   EXPECT_GT(prover.stats().memo_hits, 0);
 }
 
-TEST_F(EngineEdgeTest, EvalStrategyDoesNotChangeAnswers) {
-  ProgramFixture fixture = MakeParityFixture(5);
-  for (EvalStrategy strategy :
-       {EvalStrategy::kNaive, EvalStrategy::kRuleFilter,
-        EvalStrategy::kDeltaSeminaive}) {
-    EngineOptions options;
-    options.eval_strategy = strategy;
-    BottomUpEngine engine(&fixture.rules, &fixture.db, options);
-    Fact odd;
-    odd.predicate = fixture.symbols->FindPredicate("odd");
-    auto r = engine.ProveFact(odd);
-    ASSERT_TRUE(r.ok()) << r.status();
-    EXPECT_TRUE(*r) << "strategy=" << static_cast<int>(strategy);
-  }
-}
-
 TEST_F(EngineEdgeTest, GroundRuleHeadsActAsDerivedFacts) {
   RuleBase rules = Parse("axiom(a).\nuses(X) <- axiom(X).");
   Database db(symbols_);

@@ -13,28 +13,33 @@
 #include "queries/nationality.h"
 #include "queries/parity.h"
 #include "queries/university.h"
+#include "reference_eval.h"
 
 namespace hypo {
 namespace {
 
-enum class EngineKind { kBottomUp, kTabled, kStratified };
+/// The three engines, plus the reference evaluator (reference_eval.h).
+enum class EngineKind { kBottomUp, kTabled, kStratified, kReference };
 
 const char* KindName(EngineKind kind) {
   switch (kind) {
     case EngineKind::kBottomUp: return "BottomUp";
     case EngineKind::kTabled: return "Tabled";
     case EngineKind::kStratified: return "StratifiedProver";
+    case EngineKind::kReference: return "Reference";
   }
   return "?";
 }
 
-// The eager bottom-up engine materializes the full addition lattice on
-// rules whose hypothetical insertions are not select-guarded (the
-// university fixture's `within1`); only the goal-directed engines run
-// those tests. BottomUpLimitationTest pins the documented behavior.
+// The eager evaluators — the bottom-up engine and the reference —
+// materialize the full addition lattice on rules whose hypothetical
+// insertions are not select-guarded (the university fixture's
+// `within1`); only the goal-directed engines run those tests.
+// BottomUpLimitationTest pins the documented behavior.
 #define SKIP_EAGER_ENGINE()                                          \
-  if (GetParam() == EngineKind::kBottomUp) {                         \
-    GTEST_SKIP() << "eager engine exhausts states on unguarded "     \
+  if (GetParam() == EngineKind::kBottomUp ||                         \
+      GetParam() == EngineKind::kReference) {                        \
+    GTEST_SKIP() << "eager evaluation exhausts states on unguarded " \
                     "hypothetical rules (documented limitation)";    \
   }
 
@@ -48,11 +53,14 @@ std::unique_ptr<Engine> MakeEngine(EngineKind kind, const RuleBase* rules,
       return std::make_unique<TabledEngine>(rules, db, options);
     case EngineKind::kStratified:
       return std::make_unique<StratifiedProver>(rules, db, options);
+    case EngineKind::kReference:
+      return std::make_unique<ReferenceEngine>(rules, db);
   }
   return nullptr;
 }
 
-/// Runs every example on all engines; they must agree with the paper.
+/// Runs every example on all engines and the reference evaluator; they
+/// must agree with the paper.
 class ExamplesTest : public ::testing::TestWithParam<EngineKind> {
  protected:
   bool Prove(Engine* engine, SymbolTable* symbols, const std::string& text) {
@@ -306,7 +314,8 @@ TEST_P(ExamplesTest, MonotoneUnderAdditions) {
 INSTANTIATE_TEST_SUITE_P(Engines, ExamplesTest,
                          ::testing::Values(EngineKind::kBottomUp,
                                            EngineKind::kTabled,
-                                           EngineKind::kStratified),
+                                           EngineKind::kStratified,
+                                           EngineKind::kReference),
                          [](const auto& info) {
                            return KindName(info.param);
                          });

@@ -1,7 +1,5 @@
 #include <algorithm>
-#include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,16 +15,17 @@
 #include "engine/stratified_prover.h"
 #include "engine/tabled.h"
 #include "engine/vm/compiler.h"
+#include "reference_eval.h"
 #include "workload/random_programs.h"
 
 namespace hypo {
 namespace {
 
-// Structural invariants of BodyPlan (the contract every walker and the
-// bytecode compiler rely on), checked over random programs, plus a
-// differential fuzz across the three engines × {interp, vm} executors ×
-// thread counts × storage backends: the compiled bytecode must be
-// answer-identical to the interpretive plan walker everywhere.
+// Structural invariants of BodyPlan (the contract the bytecode compiler
+// relies on), checked over random programs, plus a differential fuzz of
+// the three engines × thread counts × storage backends against the
+// reference evaluator (reference_eval.h), which shares no planner, VM or
+// storage code with them.
 
 /// The statically-bound probe signature `step` should carry: column i is
 /// fixed iff argument i is a constant or a variable bound by an earlier
@@ -227,157 +226,93 @@ TEST(PlanTest, CompiledBytecodeAgreesWithPlan) {
   }
 }
 
-/// Collects every derivable IDB ground fact (differential_test's oracle
-/// loop, reused here to diff executors instead of engines).
-StatusOr<std::set<std::string>> DeriveAll(Engine* engine,
-                                          const ProgramFixture& fixture) {
-  std::set<std::string> facts;
-  const SymbolTable& symbols = fixture.rules.symbols();
-  std::vector<ConstId> domain;
-  for (int c = 0; c < symbols.num_consts(); ++c) domain.push_back(c);
-
-  for (int pred = 0; pred < symbols.num_predicates(); ++pred) {
-    if (!fixture.rules.IsDefined(pred)) continue;
-    int arity = symbols.PredicateArity(pred);
-    std::vector<int> index(arity, 0);
-    while (true) {
-      Fact fact;
-      fact.predicate = pred;
-      for (int i = 0; i < arity; ++i) fact.args.push_back(domain[index[i]]);
-      HYPO_ASSIGN_OR_RETURN(bool holds, engine->ProveFact(fact));
-      if (holds) facts.insert(FactToString(fact, symbols));
-      int pos = arity - 1;
-      while (pos >= 0 &&
-             ++index[pos] == static_cast<int>(domain.size())) {
-        index[pos] = 0;
-        --pos;
-      }
-      if (pos < 0 || arity == 0) break;
-    }
-  }
-  return facts;
-}
-
-/// All-free-variable Answers() for every IDB predicate, rendered to
-/// strings — exercises the per-query compile path (ProveFact exercises
-/// the head-bound rule programs).
-StatusOr<std::set<std::string>> AnswerAll(Engine* engine,
-                                          const ProgramFixture& fixture) {
-  std::set<std::string> rows;
-  const SymbolTable& symbols = fixture.rules.symbols();
-  for (int pred = 0; pred < symbols.num_predicates(); ++pred) {
-    if (!fixture.rules.IsDefined(pred)) continue;
-    int arity = symbols.PredicateArity(pred);
-    Query query;
-    Premise p;
-    p.kind = PremiseKind::kPositive;
-    p.atom.predicate = pred;
-    for (int i = 0; i < arity; ++i) {
-      p.atom.args.push_back(Term::MakeVar(i));
-      query.var_names.push_back("V" + std::to_string(i));
-    }
-    query.premises.push_back(std::move(p));
-    HYPO_ASSIGN_OR_RETURN(std::vector<Tuple> answers,
-                          engine->Answers(query));
-    for (const Tuple& t : answers) {
-      std::ostringstream row;
-      row << symbols.PredicateName(pred);
-      for (ConstId c : t) row << " " << c;
-      rows.insert(row.str());
-    }
-  }
-  return rows;
-}
-
-struct ExecutorConfig {
-  std::string label;
-  ExecutorKind executor;
-  int threads;
-};
-
-TEST(PlanTest, VmMatchesInterpreterAcrossEnginesThreadsAndBackends) {
-  RandomProgramOptions options;
+/// Runs `count` random programs of one mix through every engine
+/// configuration — tabled; bottom-up at 1 and 8 threads; stratified when
+/// linearly stratifiable — on both storage backends, and compares
+/// DeriveAll (the head-bound rule programs) and AnswerAll (the per-query
+/// compile path) with the reference evaluator over the same pinned
+/// domain. Returns the number of programs every configuration compared
+/// on; a resource skip on any side drops the program.
+int CompareWithReference(const RandomProgramOptions& options,
+                         uint64_t first_seed, int count) {
   int compared = 0;
-  int skipped = 0;
-  for (uint64_t seed = 0; seed < 10; ++seed) {
-    Random rng(4100 + seed);
+  for (uint64_t seed = first_seed; seed < first_seed + count; ++seed) {
+    Random rng(seed);
     ProgramFixture fixture = MakeRandomProgram(options, &rng);
+    const std::vector<ConstId> domain = AllConstants(*fixture.symbols);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " program:\n" +
+                 RuleBaseToString(fixture.rules));
 
+    ReferenceEngine reference(&fixture.rules, &fixture.db, domain);
+    auto ref_facts = DeriveAll(&reference, fixture.rules, domain);
+    if (!ref_facts.ok()) {
+      EXPECT_EQ(ref_facts.status().code(), StatusCode::kResourceExhausted)
+          << ref_facts.status();
+      continue;
+    }
+    auto ref_answers = AnswerAll(&reference, fixture.rules);
+    if (!ref_answers.ok()) {
+      ADD_FAILURE() << ref_answers.status();
+      continue;
+    }
+
+    bool all_compared = true;
+    auto check = [&](Engine* engine, const std::string& label) {
+      Status pinned = PinDomain(engine, fixture.rules, domain);
+      auto facts = pinned.ok() ? DeriveAll(engine, fixture.rules, domain)
+                               : StatusOr<std::set<std::string>>(pinned);
+      auto answers = facts.ok() ? AnswerAll(engine, fixture.rules) : facts;
+      if (!answers.ok()) {
+        EXPECT_EQ(answers.status().code(), StatusCode::kResourceExhausted)
+            << label << ": " << answers.status();
+        all_compared = false;
+        return;
+      }
+      EXPECT_EQ(*facts, *ref_facts) << label << ": DeriveAll diverged";
+      EXPECT_EQ(*answers, *ref_answers) << label << ": AnswerAll diverged";
+    };
+    const bool linear = CheckLinearlyStratifiable(fixture.rules).ok();
     for (StorageBackend backend :
          {StorageBackend::kColumnar, StorageBackend::kReferenceHash}) {
       Database db(fixture.symbols, backend);
       fixture.db.ForEach([&](const Fact& f) { db.Insert(f); });
-
-      EngineOptions base_options;
-      base_options.max_states = 40'000;
-      base_options.max_steps = 3'000'000;
-
-      // Reference: the interpretive walker on the tabled oracle engine.
-      EngineOptions ref_options = base_options;
-      ref_options.executor = ExecutorKind::kInterp;
-      TabledEngine reference_engine(&fixture.rules, &db, ref_options);
-      auto reference = DeriveAll(&reference_engine, fixture);
-      if (!reference.ok()) {
-        ASSERT_EQ(reference.status().code(),
-                  StatusCode::kResourceExhausted)
-            << reference.status();
-        ++skipped;
-        continue;
-      }
-      auto ref_answers = AnswerAll(&reference_engine, fixture);
-      ASSERT_TRUE(ref_answers.ok()) << ref_answers.status();
-
-      auto check = [&](Engine* engine, const std::string& label) {
-        auto derived = DeriveAll(engine, fixture);
-        if (!derived.ok()) {
-          ASSERT_EQ(derived.status().code(),
-                    StatusCode::kResourceExhausted)
-              << label << ": " << derived.status();
-          ++skipped;
-          return;
-        }
-        EXPECT_EQ(*derived, *reference)
-            << label << " diverged, seed " << seed << " program:\n"
-            << RuleBaseToString(fixture.rules);
-        auto answers = AnswerAll(engine, fixture);
-        ASSERT_TRUE(answers.ok()) << label << ": " << answers.status();
-        EXPECT_EQ(*answers, *ref_answers)
-            << label << " Answers() diverged, seed " << seed;
-        ++compared;
-      };
-
+      const std::string storage =
+          backend == StorageBackend::kColumnar ? "/columnar" : "/hash";
+      EngineOptions o;
+      o.max_states = 40'000;
+      o.max_steps = 3'000'000;
       {
-        EngineOptions o = base_options;
-        o.executor = ExecutorKind::kVm;
         TabledEngine engine(&fixture.rules, &db, o);
-        check(&engine, "tabled/vm");
+        check(&engine, "tabled" + storage);
       }
-      for (const ExecutorConfig& cfg :
-           {ExecutorConfig{"bottomup/interp/t1", ExecutorKind::kInterp, 1},
-            ExecutorConfig{"bottomup/vm/t1", ExecutorKind::kVm, 1},
-            ExecutorConfig{"bottomup/interp/t8", ExecutorKind::kInterp, 8},
-            ExecutorConfig{"bottomup/vm/t8", ExecutorKind::kVm, 8}}) {
-        EngineOptions o = base_options;
-        o.executor = cfg.executor;
-        o.num_threads = cfg.threads;
+      for (int threads : {1, 8}) {
+        o.num_threads = threads;
         BottomUpEngine engine(&fixture.rules, &db, o);
-        check(&engine, cfg.label);
+        check(&engine, "bottomup/t" + std::to_string(threads) + storage);
       }
-      if (CheckLinearlyStratifiable(fixture.rules).ok()) {
-        for (ExecutorKind executor :
-             {ExecutorKind::kInterp, ExecutorKind::kVm}) {
-          EngineOptions o = base_options;
-          o.executor = executor;
-          StratifiedProver engine(&fixture.rules, &db, o);
-          check(&engine,
-                executor == ExecutorKind::kVm ? "stratified/vm"
-                                              : "stratified/interp");
-        }
+      o.num_threads = 1;
+      if (linear) {
+        StratifiedProver engine(&fixture.rules, &db, o);
+        check(&engine, "stratified" + storage);
       }
     }
+    if (all_compared) ++compared;
   }
-  EXPECT_GE(compared, 60) << "too many configurations skipped (" << skipped
-                          << ")";
+  return compared;
+}
+
+TEST(PlanTest, DefaultMixAgreesWithReference) {
+  EXPECT_GE(CompareWithReference(RandomProgramOptions(), 4100, 40), 38);
+}
+
+TEST(PlanTest, NestedHypotheticalMixAgreesWithReference) {
+  // IDB predicates queried under [add: ...]: proofs routinely stack
+  // hypothetical states.
+  RandomProgramOptions options;
+  options.num_rules = 6;
+  options.hypothetical_probability = 0.6;
+  options.negation_probability = 0.15;
+  EXPECT_GE(CompareWithReference(options, 4200, 30), 25);
 }
 
 }  // namespace
