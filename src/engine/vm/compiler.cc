@@ -177,7 +177,8 @@ Program Compile(const CompileInput& in) {
           push(std::move(op));
         } else {
           op.code = OpCode::kScan;
-          const ColumnMask mask = BuildScanActions(atom, bound, &op);
+          [[maybe_unused]] const ColumnMask mask =
+              BuildScanActions(atom, bound, &op);
           // With no entry bindings, static boundness mirrors the plan's
           // own bookkeeping, so the masks must agree (plan_test invariant
           // the parallel fixpoint's PrepareIndex already relies on).

@@ -223,7 +223,9 @@ TEST_F(AbortRecoveryTest, BottomUpSeedRerunAbortMarksStateDirty) {
   // The cheap query's answers must also survive the aborted extension.
   engine.ResetStats();
   auto cheap_again = engine.Answers(*cheap);
-  if (cheap_again.ok()) EXPECT_EQ(cheap_again->size(), 1u);
+  if (cheap_again.ok()) {
+    EXPECT_EQ(cheap_again->size(), 1u);
+  }
 }
 
 // A rule whose head variables appear under negation only is evaluated

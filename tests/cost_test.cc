@@ -242,11 +242,81 @@ TEST_F(CostTest, RegistrarShape) {
           db.Insert("take", {S(s), C((s * 13 + k * 7) % kCourses)}).ok());
     }
   }
+  const std::vector<std::string> whatifs = {
+      "open(s7, c40)[add: take(s7, c24)]",
+      "missing(s9, c60)[add: take(s9, c3)]"};
   Check("registrar", rules, db,
         {"needs(c60, X)", "needs(X, c3)", "missing(s5, C)",
-         "missing(S, c60)", "open(s5, c40)", "open(s5, C)",
-         "open(s7, c40)[add: take(s7, c24)]",
-         "missing(s9, c60)[add: take(s9, c3)]"});
+         "missing(S, c60)", "open(s5, c40)", "open(s5, C)", whatifs[0],
+         whatifs[1]});
+
+  // Bottom-up deltas on a warm engine: a what-if derives its child from
+  // the base model, and a commit repairs that model, both in work sized
+  // by the change. Budgets are fractions of the from-scratch model.
+  BottomUpEngine warm(&rules, &db);
+  int64_t scratch = 0;
+  ASSERT_TRUE(Run(&warm, Q("open(s5, c40)"), &scratch).ok());
+  auto check_whatifs = [&](const std::string& when) {
+    for (const std::string& text : whatifs) {
+      SCOPED_TRACE(when + ": " + text);
+      int64_t steps = 0;
+      auto got = Run(&warm, Q(text), &steps);
+      ASSERT_TRUE(got.ok()) << got.status();
+      BottomUpEngine fresh(&rules, &db);
+      int64_t fresh_steps = 0;
+      auto expected = Run(&fresh, Q(text), &fresh_steps);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      EXPECT_EQ(*got, *expected) << "derived child disagrees with scratch";
+      // missing(s9, ...)'s addition is stored already: no child at all.
+      EXPECT_EQ(warm.stats().states_derived, warm.stats().states_evaluated);
+      EXPECT_LE(100 * steps, scratch) << "what-if not within 1/100";
+      std::printf("[cost] %-18s %-9s %-36s bottomup=%lld scratch=%lld\n",
+                  "registrar/delta", when.c_str(), text.c_str(),
+                  static_cast<long long>(steps),
+                  static_cast<long long>(scratch));
+    }
+  };
+  check_whatifs("warm");
+  auto fact = [&](const std::string& text) {
+    auto f = ParseFact(text, symbols_.get());
+    EXPECT_TRUE(f.ok()) << text << ": " << f.status();
+    return *f;
+  };
+  struct Commit {
+    const char* name;
+    std::vector<std::string> inserts, retracts;
+    int64_t divisor;  // Steps budget: scratch / divisor.
+  };
+  // A prerequisite swap re-derives needs for every course above c40, so
+  // it gets half the scratch budget; an enrolment or a drop gets 1/100.
+  const Commit commits[] = {
+      {"enrol", {"take(s11, c60)"}, {}, 100},
+      {"drop", {}, {"take(s12, c28)"}, 100},
+      {"prereq-swap", {"prereq(c40, c20)"}, {"prereq(c40, c24)"}, 2}};
+  for (const Commit& commit : commits) {
+    SCOPED_TRACE(commit.name);
+    BaseDelta delta;
+    for (const std::string& text : commit.inserts) {
+      delta.inserts.push_back(fact(text));
+      ASSERT_TRUE(db.Insert(delta.inserts.back()));
+    }
+    for (const std::string& text : commit.retracts) {
+      delta.retracts.push_back(fact(text));
+      ASSERT_TRUE(db.Retract(delta.retracts.back()));
+    }
+    warm.ResetStats();
+    ASSERT_TRUE(warm.ApplyBaseDelta(delta).ok());
+    const EngineStats& repair = warm.stats();
+    const int64_t steps = repair.goals_expanded + repair.enumerations;
+    EXPECT_EQ(repair.strata_recomputed, 0);
+    EXPECT_LE(commit.divisor * steps, scratch)
+        << "commit not within 1/" << commit.divisor;
+    std::printf("[cost] %-18s %-9s %-36s bottomup=%lld scratch=%lld\n",
+                "registrar/delta", "commit", commit.name,
+                static_cast<long long>(steps),
+                static_cast<long long>(scratch));
+    check_whatifs(commit.name);
+  }
 }
 
 }  // namespace

@@ -162,7 +162,9 @@ TEST_F(DemandTest, HypotheticalPremisePropagatesDemand) {
     ASSERT_TRUE(unbridged.ok());
     EXPECT_FALSE(*unbridged) << "demand=" << demand;
     EXPECT_EQ(engine.num_states(), 2) << "demand=" << demand;
-    if (demand) EXPECT_GT(engine.stats().magic_facts, 0);
+    if (demand) {
+      EXPECT_GT(engine.stats().magic_facts, 0);
+    }
   }
 }
 

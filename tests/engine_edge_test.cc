@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -232,6 +233,117 @@ TEST_F(EngineEdgeTest, NegatedEnumerationIsMetered) {
   ASSERT_TRUE(p.ok()) << p.status();
   EXPECT_TRUE(*p);
   EXPECT_EQ(cheap.stats().enumerations, 0);
+}
+
+TEST_F(EngineEdgeTest, NewConstantCommitsKeepDomainFreeModels) {
+  // No rule enumerates dom(R, DB), so no bottom-up model depends on it: a
+  // commit that brings a new constant keeps the memoized states and is
+  // repaired like any other, and the engine answers like a fresh one.
+  RuleBase rules = Parse(
+      "missing(S, C) <- student(S), prereq(C, P), ~take(S, P).\n"
+      "open(S, C) <- student(S), course(C), ~missing(S, C), ~take(S, C).");
+  Database db(symbols_);
+  ASSERT_TRUE(ParseFactsInto("student(s). course(a). course(b). "
+                             "prereq(b, a). take(s, a).",
+                             &db)
+                  .ok());
+  BottomUpEngine engine(&rules, &db);
+  ASSERT_TRUE(engine.ProveQuery(Q("open(s, b)")).ok());
+  ASSERT_TRUE(engine.ProveQuery(Q("open(s, a)[add: take(s, b)]")).ok());
+  EXPECT_EQ(engine.num_states(), 2);
+
+  BaseDelta delta;
+  for (const char* text : {"student(t)", "take(t, b)"}) {
+    auto f = ParseFact(text, symbols_.get());
+    ASSERT_TRUE(f.ok());
+    ASSERT_TRUE(db.Insert(*f));
+    delta.inserts.push_back(*f);
+  }
+  engine.ResetStats();
+  ASSERT_TRUE(engine.ApplyBaseDelta(delta).ok());
+  EXPECT_EQ(engine.stats().domain_rebuilds, 0);
+  EXPECT_GT(engine.stats().strata_repaired, 0);
+  EXPECT_EQ(engine.num_states(), 1) << "the base model is kept, repaired";
+
+  BottomUpEngine fresh(&rules, &db);
+  for (const char* text :
+       {"open(X, Y)", "missing(X, Y)", "open(t, Y)[add: take(t, a)]",
+        "missing(X, b)[add: take(t, a)]"}) {
+    auto got = engine.Answers(Q(text));
+    auto expected = fresh.Answers(Q(text));
+    ASSERT_TRUE(got.ok() && expected.ok()) << text;
+    std::sort(got->begin(), got->end());
+    std::sort(expected->begin(), expected->end());
+    EXPECT_EQ(*got, *expected) << text;
+  }
+  EXPECT_EQ(engine.stats().domain_rebuilds, 0);
+}
+
+TEST_F(EngineEdgeTest, NewConstantCommitsReinitDomainEnumeratingPrograms) {
+  // `free(X)` ranges over dom(R, DB), so a new constant changes the model:
+  // the commit must re-Init rather than repair.
+  RuleBase rules = Parse("free(X) <- ~used(X).");
+  Database db(symbols_);
+  ASSERT_TRUE(ParseFactsInto("used(a). item(b).", &db).ok());
+  BottomUpEngine engine(&rules, &db);
+  auto before = engine.Answers(Q("free(X)"));
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before->size(), 1u);
+
+  auto f = ParseFact("item(c)", symbols_.get());
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(db.Insert(*f));
+  BaseDelta delta;
+  delta.inserts.push_back(*f);
+  engine.ResetStats();
+  ASSERT_TRUE(engine.ApplyBaseDelta(delta).ok());
+  EXPECT_EQ(engine.stats().domain_rebuilds, 1);
+  auto after = engine.Answers(Q("free(X)"));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->size(), 2u) << "free(c) needs the new domain";
+}
+
+TEST_F(EngineEdgeTest, RepairRebuildOfHypotheticalStratumKeepsBaseIndexes) {
+  // The commit changes e2, so its sorted base index is stale. The
+  // stratum with the hypothetical premise is rebuilt; its rule scans an
+  // e2 index bucket and, inside that scan, computes a child state from
+  // empty. That child must not re-seal the base: re-sorting e2's index
+  // would free the bucket under the scan.
+  RuleBase rules = Parse(
+      "p0(V1) <- ~e1(c2).\n"
+      "p2 <- p0(V2).\n"
+      "p0(c0) <- p0(V0)[add: e1(V0)], e2(V1, c0).\n"
+      "p2 <- p0(V1)[add: e1(c1)].\n"
+      "p2 <- ~e0(V1, c0), e1(V2), p0(V1).");
+  Database db(symbols_);
+  ASSERT_TRUE(ParseFactsInto("e2(c0, c0). e2(c1, c0). e2(c0, c1). "
+                             "e2(c0, c2). e1(c0). e1(c2). e0(c1, c0). "
+                             "e0(c2, c0). e0(c1, c1). e0(c2, c1). "
+                             "e0(c2, c2).",
+                             &db)
+                  .ok());
+  BottomUpEngine engine(&rules, &db);
+  ASSERT_TRUE(engine.ProveQuery(Q("p0(c0), p0(c1), p0(c2)")).ok());
+  BaseDelta delta;
+  auto insert = ParseFact("e0(c0, c2)", symbols_.get());
+  auto retract = ParseFact("e2(c0, c1)", symbols_.get());
+  ASSERT_TRUE(insert.ok() && retract.ok());
+  ASSERT_TRUE(db.Insert(*insert));
+  ASSERT_TRUE(db.Retract(*retract));
+  delta.inserts.push_back(*insert);
+  delta.retracts.push_back(*retract);
+  ASSERT_TRUE(engine.ApplyBaseDelta(delta).ok());
+  EXPECT_GT(engine.stats().strata_recomputed, 0);
+
+  BottomUpEngine fresh(&rules, &db);
+  for (const char* text : {"p0(X)", "p2"}) {
+    auto got = engine.Answers(Q(text));
+    auto expected = fresh.Answers(Q(text));
+    ASSERT_TRUE(got.ok() && expected.ok()) << text;
+    std::sort(got->begin(), got->end());
+    std::sort(expected->begin(), expected->end());
+    EXPECT_EQ(*got, *expected) << text;
+  }
 }
 
 TEST_F(EngineEdgeTest, RepeatedOutOfDomainConstantRebuildsOnce) {

@@ -23,6 +23,8 @@
 namespace hypo {
 namespace {
 
+#if HYPO_FAILPOINTS
+
 const char* const kConfigs[] = {"tabled", "stratified", "bottomup",
                                 "bottomup-demand", "bottomup-t8"};
 
@@ -75,6 +77,8 @@ std::vector<std::string> RunAll(Engine* engine,
   return out;
 }
 
+#endif  // HYPO_FAILPOINTS
+
 class FailpointTest : public ::testing::Test {
  protected:
   std::shared_ptr<SymbolTable> symbols_ = std::make_shared<SymbolTable>();
@@ -104,10 +108,59 @@ class FailpointTest : public ::testing::Test {
   }
 
   std::vector<Query> BuildQueries() {
+    return ParseQueries(
+        {"reach(a, c)", "reach(a, X)", "blocked(X)", "bridge(a, e)",
+         "reach(a, e)[add: edge(c, d)]", "reach(X, e)[add: edge(c, d)]"});
+  }
+
+  /// The registrar's negation over recursion, with no hypothetical rule,
+  /// so the bottom-up engine derives what-if children from its base
+  /// model (and repairs their negations) instead of computing them.
+  RuleBase BuildWhatIfProgram() {
+    auto rules = ParseRuleBase(
+        "needs(C, X) <- prereq(C, X).\n"
+        "needs(C, X) <- prereq(C, Y), needs(Y, X).\n"
+        "missing(S, C) <- student(S), needs(C, P), ~take(S, P).\n"
+        "open(S, C) <- student(S), course(C), ~missing(S, C), "
+        "~take(S, C).",
+        symbols_);
+    EXPECT_TRUE(rules.ok()) << rules.status();
+    return std::move(rules).value();
+  }
+
+  void BuildWhatIfFacts(Database* db) {
+    for (const char* c : {"a", "b", "c", "d"}) {
+      ASSERT_TRUE(db->Insert("course", {c}).ok());
+    }
+    for (const char* p : {"ba", "cb", "da"}) {
+      ASSERT_TRUE(db->Insert("prereq", {std::string(1, p[0]),
+                                        std::string(1, p[1])})
+                      .ok());
+    }
+    for (const char* s : {"s", "t"}) {
+      ASSERT_TRUE(db->Insert("student", {s}).ok());
+    }
+    ASSERT_TRUE(db->Insert("take", {"s", "a"}).ok());
+    ASSERT_TRUE(db->Insert("take", {"t", "b"}).ok());
+  }
+
+  std::vector<Query> BuildWhatIfQueries() {
+    return ParseQueries(
+        {"open(s, X)", "open(s, c)[add: take(s, b)]",
+         "open(X, c)[add: take(t, a)]",
+         "missing(t, X)[add: take(t, a), take(t, d)]",
+         "open(t, d)[add: take(t, a)]", "missing(X, c)"});
+  }
+
+  /// The abort-anywhere sweep of DifferentialAbortAnywhereSweep over one
+  /// program, in every engine configuration.
+  void SweepAbortsAnywhere(const RuleBase& rules, const Database& db,
+                           const std::vector<Query>& queries,
+                           bool expect_derived_children);
+
+  std::vector<Query> ParseQueries(const std::vector<const char*>& texts) {
     std::vector<Query> out;
-    for (const char* text :
-         {"reach(a, c)", "reach(a, X)", "blocked(X)", "bridge(a, e)",
-          "reach(a, e)[add: edge(c, d)]", "reach(X, e)[add: edge(c, d)]"}) {
+    for (const char* text : texts) {
       auto q = ParseQuery(text, symbols_.get());
       EXPECT_TRUE(q.ok()) << text << ": " << q.status();
       out.push_back(std::move(*q));
@@ -160,10 +213,25 @@ TEST_F(FailpointTest, RegistryCountsAndFiresNthHit) {
 }
 
 TEST_F(FailpointTest, DifferentialAbortAnywhereSweep) {
-  RuleBase rules = BuildProgram();
-  Database db(symbols_);
-  BuildFacts(&db);
-  std::vector<Query> queries = BuildQueries();
+  for (bool whatif : {false, true}) {
+    SCOPED_TRACE(whatif ? "what-if program" : "hypothetical-rule program");
+    RuleBase rules = whatif ? BuildWhatIfProgram() : BuildProgram();
+    Database db(symbols_);
+    if (whatif) {
+      BuildWhatIfFacts(&db);
+    } else {
+      BuildFacts(&db);
+    }
+    SweepAbortsAnywhere(rules, db,
+                        whatif ? BuildWhatIfQueries() : BuildQueries(),
+                        whatif);
+  }
+}
+
+void FailpointTest::SweepAbortsAnywhere(const RuleBase& rules,
+                                        const Database& db,
+                                        const std::vector<Query>& queries,
+                                        bool expect_derived_children) {
   FailpointRegistry& registry = FailpointRegistry::Global();
 
   for (const char* kind : kConfigs) {
@@ -182,12 +250,22 @@ TEST_F(FailpointTest, DifferentialAbortAnywhereSweep) {
     }
     std::vector<std::pair<std::string, int64_t>> sites = registry.HitSites();
     ASSERT_FALSE(sites.empty()) << kind << " crossed no failpoint sites";
+    auto reached = [&sites](const char* site) {
+      return std::any_of(sites.begin(), sites.end(),
+                         [site](const auto& s) { return s.first == site; });
+    };
     if (std::string(kind) == "tabled") {
       // Open queries and negations with free variables run as tabled
       // calls; an abort while a call table is open must be swept too.
-      EXPECT_TRUE(std::any_of(sites.begin(), sites.end(), [](const auto& s) {
-        return s.first == "tabled.call_table";
-      })) << "the sweep never reached a call table";
+      EXPECT_TRUE(reached("tabled.call_table"))
+          << "the sweep never reached a call table";
+    }
+    if (expect_derived_children && (std::string(kind) == "bottomup" ||
+                                    std::string(kind) == "bottomup-t8")) {
+      // An abort mid-derivation must leave the child dirty, never served
+      // half-derived.
+      EXPECT_TRUE(reached("bottomup.derive_child"))
+          << kind << ": the sweep never derived a child state";
     }
 
     for (const auto& [site, count] : sites) {

@@ -344,9 +344,14 @@ TEST_F(GovernanceTest, TrackedBytesStayExactAcrossBaseDeltaRepairs) {
     auto base_q = ParseQuery("blocked(n7, n0)", symbols_.get());
     auto hypo_q = ParseQuery("reach(n5, n9)[add: edge(n7, n9)]",
                              symbols_.get());
-    ASSERT_TRUE(base_q.ok() && hypo_q.ok());
+    // A child derived from the base model whose hidden set is not empty:
+    // the new edge unblocks pairs.
+    auto hiding_q = ParseQuery("blocked(n7, n0)[add: edge(n7, n0)]",
+                               symbols_.get());
+    ASSERT_TRUE(base_q.ok() && hypo_q.ok() && hiding_q.ok());
     ASSERT_TRUE(engine.ProveQuery(*base_q).ok());
     ASSERT_TRUE(engine.ProveQuery(*hypo_q).ok());
+    ASSERT_TRUE(engine.ProveQuery(*hiding_q).ok());
     // (No exactness claim here: during live fixpoints the counter runs on
     // cheap per-fact estimates. The repair commit below must re-anchor it
     // to the truth.)
@@ -382,7 +387,16 @@ TEST_F(GovernanceTest, TrackedBytesStayExactAcrossBaseDeltaRepairs) {
       EXPECT_EQ(engine.TrackedBytesForTest(),
                 engine.ExactTrackedBytesForTest())
           << "threads=" << threads << ": drift after post-repair query";
+      // Children derived from the repaired model charge their exact
+      // growth, hidden sets included, and stay alive into the next
+      // repair.
+      ASSERT_TRUE(engine.ProveQuery(*hypo_q).ok());
+      ASSERT_TRUE(engine.ProveQuery(*hiding_q).ok());
+      EXPECT_EQ(engine.TrackedBytesForTest(),
+                engine.ExactTrackedBytesForTest())
+          << "threads=" << threads << ": drift after derived what-ifs";
     }
+    EXPECT_GT(engine.stats().states_derived, 0) << "threads=" << threads;
   }
 }
 

@@ -286,6 +286,36 @@ TEST(QueryServerTest, RepairStatsAccumulateAcrossEpochs) {
             1);
 }
 
+TEST(QueryServerTest, WhatIfsLeaveTheCommitRepairCountersAlone) {
+  // A what-if derives its child from the base model with the repair's
+  // own delta rounds; that work is the query's, never the commits'.
+  ServerOptions options;
+  options.engine_name = "bottomup";
+  options.pool_size = 1;
+  auto server = QueryServer::Create(
+      "missing(S, C) <- student(S), prereq(C, P), ~take(S, P).\n"
+      "open(S, C) <- student(S), course(C), ~missing(S, C), ~take(S, C).\n"
+      "student(s). course(a). course(b). prereq(b, a). take(s, c).\n",
+      options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  ASSERT_TRUE((*server)->Insert("course(c)").ok());
+  const EngineStats before = (*server)->counters().repair;
+  auto whatif = (*server)->Query("open(s, b)[add: take(s, a)]");
+  ASSERT_TRUE(whatif.ok()) << whatif.status();
+  EXPECT_TRUE(whatif->proven);
+  EXPECT_EQ(whatif->stats.states_derived, 1);
+  EXPECT_GT(whatif->stats.facts_overdeleted + whatif->stats.facts_derived, 0)
+      << "the derivation's delta work counts in the query's own stats";
+  const EngineStats after = (*server)->counters().repair;
+  EXPECT_EQ(after.base_deltas, before.base_deltas);
+  EXPECT_EQ(after.strata_repaired, before.strata_repaired);
+  EXPECT_EQ(after.strata_recomputed, before.strata_recomputed);
+  EXPECT_EQ(after.facts_overdeleted, before.facts_overdeleted);
+  EXPECT_EQ(after.facts_rederived, before.facts_rederived);
+  EXPECT_EQ(after.facts_derived, before.facts_derived);
+  EXPECT_EQ(after.states_derived, 0);
+}
+
 #if HYPO_FAILPOINTS
 TEST(QueryServerTest, FailedRepairForcesReinitAndServesTheNewEpoch) {
   // Regression: an engine whose repair aborts mid-flight must not re-enter
@@ -304,13 +334,14 @@ TEST(QueryServerTest, FailedRepairForcesReinitAndServesTheNewEpoch) {
   options.pool_size = 1;
   auto server = QueryServer::Create(program, options);
   ASSERT_TRUE(server.ok()) << server.status();
-  // Warm the model so the retract takes the repair path; the negated
-  // premise forces a stratum recompute, where bottomup.round sits.
+  // Warm the model so the retract takes the repair path; the fault hits
+  // the first stratum's repair between its DRed prune and rederivation.
   auto warm = (*server)->Query("blocked(a, X)");
   ASSERT_TRUE(warm.ok()) << warm.status();
 
   FailpointRegistry& registry = FailpointRegistry::Global();
-  registry.Arm("bottomup.round", 1, Status::Internal("injected mid-repair"));
+  registry.Arm("bottomup.repair_stratum", 1,
+               Status::Internal("injected mid-repair"));
   auto out = (*server)->Retract("edge(b, c)");
   registry.DisarmAll();
   ASSERT_FALSE(out.ok()) << "the injected repair failure must surface";
