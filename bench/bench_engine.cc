@@ -187,53 +187,13 @@ void BM_DemandHypotheticalBridge(benchmark::State& state) {
 }
 BENCHMARK(BM_DemandHypotheticalBridge)->ArgsProduct({{0, 1}, {4, 16, 64}});
 
-/// Thread scaling of the partitioned fixpoint on an embarrassingly wide
-/// workload: eagerly closing a forest of independent chains. Each round's
-/// instantiations partition across shards by tuple hash, so the chains
-/// spread evenly over the workers; the answer (and facts_derived) is
-/// identical at every thread count.
-void BM_ParallelFixpoint(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  const int k = 32;
-  const int len = 32;
-  ProgramFixture fixture = MakeChainForest(k, len);
-  EngineOptions options;
-  options.num_threads = threads;
-  Query query = bench::MustParseQuery(
-      fixture, "t(c0_0, c0_" + std::to_string(len - 1) + ")");
-  int64_t facts = 0;
-  int64_t rounds = 0;
-  int64_t stolen = 0;
-  int64_t barrier = 0;
-  for (auto _ : state) {
-    BottomUpEngine engine(&fixture.rules, &fixture.db, options);
-    auto got = engine.ProveQuery(query);
-    HYPO_CHECK(got.ok() && *got) << got.status();
-    benchmark::DoNotOptimize(*got);
-    facts = engine.stats().facts_derived;
-    rounds = engine.stats().parallel_rounds;
-    stolen = engine.stats().tasks_stolen;
-    barrier = engine.stats().barrier_micros;
-  }
-  state.counters["facts_derived"] = static_cast<double>(facts);
-  state.counters["parallel_rounds"] = static_cast<double>(rounds);
-  state.counters["tasks_stolen"] = static_cast<double>(stolen);
-  state.counters["barrier_micros"] = static_cast<double>(barrier);
-  state.SetLabel("parallel fixpoint forest k=" + std::to_string(k) +
-                 " threads=" + std::to_string(threads));
-}
-BENCHMARK(BM_ParallelFixpoint)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-/// Concurrent hypothetical-state exploration: every chain in the forest
-/// has a gap, and one rule asks per chain whether bridging its gap
-/// reconnects the endpoints. Each ground hypothetical test materializes a
-/// distinct child state — and each child re-runs the rule for the other
-/// chains, so the workload explores the full 2^k lattice of bridge
-/// subsets. Under parallel rounds, different shards reach different
-/// chains' tests, so independent state models are computed concurrently
-/// through the sharded state cache.
-void BM_ParallelHypoStates(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
+/// Hypothetical-state exploration: every chain in the forest has a gap,
+/// and one rule asks per chain whether bridging its gap reconnects the
+/// endpoints. Each ground hypothetical test materializes a distinct child
+/// state — and each child re-runs the rule for the other chains, so the
+/// workload explores the full 2^k lattice of bridge subsets, every child
+/// computed from empty (the program has a hypothetical premise).
+void BM_HypoStateLattice(benchmark::State& state) {
   const int k = 8;
   const int len = 24;
   const int gap = len / 2;
@@ -264,13 +224,11 @@ void BM_ParallelHypoStates(benchmark::State& state) {
                                    c + std::to_string(gap + 1)})
                    .ok());
   }
-  EngineOptions options;
-  options.num_threads = threads;
   Query query = bench::MustParseQuery(fixture, "fixed(I)");
   int64_t states = 0;
   int64_t memo_hits = 0;
   for (auto _ : state) {
-    BottomUpEngine engine(&fixture.rules, &fixture.db, options);
+    BottomUpEngine engine(&fixture.rules, &fixture.db);
     auto got = engine.Answers(query);
     HYPO_CHECK(got.ok()) << got.status();
     HYPO_CHECK(got->size() == static_cast<size_t>(k));
@@ -280,10 +238,9 @@ void BM_ParallelHypoStates(benchmark::State& state) {
   }
   state.counters["db_states"] = static_cast<double>(states);
   state.counters["memo_hits"] = static_cast<double>(memo_hits);
-  state.SetLabel("parallel hypo states k=" + std::to_string(k) +
-                 " threads=" + std::to_string(threads));
+  state.SetLabel("hypo state lattice k=" + std::to_string(k));
 }
-BENCHMARK(BM_ParallelHypoStates)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_HypoStateLattice);
 
 /// Incremental base-fact maintenance (the server's epoch turn) vs full
 /// rebuild: retract one mid-chain edge of a warm chain-forest closure,

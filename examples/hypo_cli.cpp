@@ -2,7 +2,6 @@
 //
 //   hypo_cli PROGRAM.hdl [-q QUERY]... [--engine tabled|stratified|bottomup]
 //   hypo_cli PROGRAM.hdl -q "..." --engine bottomup --demand  # magic sets
-//   hypo_cli PROGRAM.hdl -q "..." --engine bottomup --threads 4
 //   hypo_cli PROGRAM.hdl -q "..." --timeout-ms 500 --max-memory-mb 256
 //   hypo_cli PROGRAM.hdl --explain  # print the linear stratification
 //   hypo_cli PROGRAM.hdl --explain-plan  # premise order + rule bytecode
@@ -46,7 +45,7 @@ namespace {
 using namespace hypo;
 
 /// Parses a positive integer flag value strictly (no trailing garbage,
-/// no silent overflow — `--threads 4abc` and `--timeout-ms 999…9` are
+/// no silent overflow — `--timeout-ms 4abc` and `--timeout-ms 999…9` are
 /// usage errors, exit code 2). `max` defaults to a generous but finite
 /// bound so later unit conversions (ms -> us, MB -> bytes) cannot wrap.
 bool ParsePositiveFlag(const char* flag, const char* value, long* out,
@@ -153,8 +152,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::cerr << "usage: " << argv[0]
               << " PROGRAM.hdl [-q QUERY]... [--engine NAME] [--demand]"
-                 " [--threads N] [--timeout-ms N] [--max-memory-mb N]"
-                 " [--explain-plan]\n";
+                 " [--timeout-ms N] [--max-memory-mb N] [--explain-plan]\n";
     return 2;
   }
   // A mistyped storage backend must fail fast, not silently evaluate on
@@ -170,7 +168,6 @@ int main(int argc, char** argv) {
   bool explain_plan = false;
   bool proof = false;
   bool demand = false;
-  int threads = 1;
   long timeout_ms = 0;
   long max_memory_mb = 0;
   for (int i = 1; i < argc; ++i) {
@@ -181,10 +178,6 @@ int main(int argc, char** argv) {
       engine_name = argv[++i];
     } else if (arg == "--demand") {
       demand = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      long value = 0;
-      if (!ParsePositiveFlag("--threads", argv[++i], &value, 1024)) return 2;
-      threads = static_cast<int>(value);
     } else if (arg == "--timeout-ms" && i + 1 < argc) {
       if (!ParsePositiveFlag("--timeout-ms", argv[++i], &timeout_ms)) {
         return 2;
@@ -233,13 +226,8 @@ int main(int argc, char** argv) {
     std::cerr << "--demand requires --engine bottomup\n";
     return 2;
   }
-  if (threads > 1 && engine_name != "bottomup") {
-    std::cerr << "--threads requires --engine bottomup\n";
-    return 2;
-  }
   EngineOptions options;
   options.demand = demand;
-  options.num_threads = threads;
   options.timeout_micros = timeout_ms * 1000;
   options.max_memory_bytes = max_memory_mb * 1024 * 1024;
   auto cancel = std::make_shared<CancellationToken>();

@@ -1,7 +1,7 @@
 // hypo_serve: resident query server over a hypothetical-Datalog program.
 //
 //   hypo_serve PROGRAM.hdl [--engine tabled|stratified|bottomup]
-//              [--pool N] [--threads N] [--timeout-ms N] [--max-memory-mb N]
+//              [--pool N] [--timeout-ms N] [--max-memory-mb N]
 //              [--data-dir DIR] [--fsync always|group|off]
 //              [--checkpoint-every N]
 //
@@ -85,7 +85,7 @@ bool ParsePositiveFlag(const char* flag, const char* value, long* out,
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::cerr << "usage: " << argv[0]
-              << " PROGRAM.hdl [--engine NAME] [--pool N] [--threads N]"
+              << " PROGRAM.hdl [--engine NAME] [--pool N]"
                  " [--timeout-ms N] [--max-memory-mb N]"
                  " [--no-cross-cache] [--cache-mb N]"
                  " [--data-dir DIR] [--fsync always|group|off]"
@@ -116,10 +116,6 @@ int main(int argc, char** argv) {
       long value = 0;
       if (!ParsePositiveFlag("--pool", argv[++i], &value, 64)) return 2;
       options.pool_size = static_cast<int>(value);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      long value = 0;
-      if (!ParsePositiveFlag("--threads", argv[++i], &value, 1024)) return 2;
-      options.engine_options.num_threads = static_cast<int>(value);
     } else if (arg == "--timeout-ms" && i + 1 < argc) {
       if (!ParsePositiveFlag("--timeout-ms", argv[++i], &timeout_ms)) {
         return 2;
@@ -149,11 +145,6 @@ int main(int argc, char** argv) {
       std::cerr << "unexpected argument: " << arg << "\n";
       return 2;
     }
-  }
-  if (options.engine_options.num_threads > 1 &&
-      options.engine_name != "bottomup") {
-    std::cerr << "--threads requires --engine bottomup\n";
-    return 2;
   }
   options.engine_options.timeout_micros = timeout_ms * 1000;
   options.engine_options.max_memory_bytes = max_memory_mb * 1024 * 1024;

@@ -41,7 +41,7 @@ doc = {"schema": "hypo-bench-v1", "runs": []}
 if os.path.exists(path):
     with open(path) as f:
         doc = json.load(f)
-# Hardware context: thread-scaling numbers are meaningless without it.
+# Hardware context: timings from different machines do not compare.
 cpu = "unknown"
 try:
     with open("/proc/cpuinfo") as f:

@@ -6,12 +6,14 @@
 #   BUILD_TYPE  CMake build type (Debug, Release, RelWithDebInfo, ...).
 #   SANITIZE    comma-separated sanitizers for -fsanitize=, e.g.
 #               "address,undefined" or "thread" (the TSan run CI uses to
-#               race-check the parallel fixpoint); implies frame pointers.
+#               race-check the server's engine pool); implies frame
+#               pointers.
 #   BUILD_DIR   build tree to use (default: build, or build-<sanitize>
 #               when SANITIZE is set, so sanitized trees don't clobber
 #               the regular one).
 #   TEST_FILTER ctest -R regex to run a subset of the suite (e.g.
-#               "parallel|abort" for the threaded tests only).
+#               "server_test|governance_test" for the threaded tests
+#               only).
 #   FAILPOINTS  1/0 to force the deterministic fault-injection sites on
 #               or off (-DHYPO_FAILPOINTS=...); unset leaves the CMake
 #               default (on except in Release builds).

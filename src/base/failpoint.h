@@ -14,7 +14,7 @@
 ///
 /// A *failpoint* is a named site in library code — `HYPO_FAILPOINT("x.y")`
 /// — where a test can program an error to surface on the Nth execution of
-/// that site. This turns "what if the engine dies mid-round-barrier?" from
+/// that site. This turns "what if the engine dies mid-repair?" from
 /// a thought experiment into a repeatable unit test: arm the site, run a
 /// query, watch the typed error propagate, then re-run on the *same*
 /// engine instance and require answers identical to a fresh engine

@@ -1,5 +1,6 @@
 #include "base/query_guard.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace hypo {
@@ -17,12 +18,9 @@ bool QueryGuard::Arm(int64_t timeout_micros, int64_t max_memory_bytes,
     deadline_ = std::chrono::steady_clock::now() +
                 std::chrono::microseconds(timeout_micros_);
   }
-  bytes_peak_.store(0, std::memory_order_relaxed);
-  tripped_.store(false, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    trip_status_ = Status::OK();
-  }
+  bytes_peak_ = 0;
+  tripped_ = false;
+  trip_status_ = Status::OK();
   armed_ = true;
   return true;
 }
@@ -34,20 +32,13 @@ void QueryGuard::Disarm() {
 
 Status QueryGuard::Check(int64_t memory_bytes) {
   if (!armed_) return Status::OK();
-  if (tripped_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return trip_status_;
-  }
+  if (tripped_) return trip_status_;
   if (cancel_ != nullptr && cancel_->cancelled()) {
     return Trip(Status::Cancelled(
         "query cancelled: CancellationToken set before completion"));
   }
   if (max_memory_bytes_ > 0 && memory_bytes >= 0) {
-    int64_t peak = bytes_peak_.load(std::memory_order_relaxed);
-    while (memory_bytes > peak &&
-           !bytes_peak_.compare_exchange_weak(peak, memory_bytes,
-                                              std::memory_order_relaxed)) {
-    }
+    bytes_peak_ = std::max(bytes_peak_, memory_bytes);
     if (memory_bytes > max_memory_bytes_) {
       return Trip(Status::ResourceExhausted(LimitTripMessage(
           "max_memory_bytes", max_memory_bytes_, memory_bytes)));
@@ -75,18 +66,9 @@ int64_t QueryGuard::micros_remaining() const {
       .count();
 }
 
-bool QueryGuard::tripped_cancelled() const {
-  if (!tripped_.load(std::memory_order_acquire)) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  return trip_status_.code() == StatusCode::kCancelled;
-}
-
 Status QueryGuard::Trip(Status s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!tripped_.load(std::memory_order_relaxed)) {
-    trip_status_ = std::move(s);
-    tripped_.store(true, std::memory_order_release);
-  }
+  trip_status_ = std::move(s);
+  tripped_ = true;
   return trip_status_;
 }
 

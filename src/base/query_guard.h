@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 
 #include "base/status.h"
 
@@ -34,21 +33,18 @@ class CancellationToken {
 /// deadline, a memory budget, and an external CancellationToken, checked
 /// at the same metering points that enforce max_steps (each engine's
 /// CheckLimits). PSPACE-hard hypothetical queries cannot be bounded by
-/// analysis, so the bound is imposed at runtime — and must compose with
-/// the parallel fixpoint: Check() may race with itself from many workers.
+/// analysis, so the bound is imposed at runtime.
 ///
 /// Life cycle: an engine owns one QueryGuard and Arms it at each public
 /// entry point (engine.h's GuardScope). When no limit is configured the
 /// guard stays unarmed and the per-check cost is a single predictable
-/// branch on a plain bool — the ≤2% overhead budget on ungoverned queries
-/// is why armed() is *not* atomic: arming happens strictly outside the
-/// parallel region (workers only ever run between Arm and Disarm, and the
-/// pool's task handoff synchronizes the write).
+/// branch on a plain bool (the ≤2% overhead budget on ungoverned
+/// queries). The guard is used by its engine's thread only; the token is
+/// the one part another thread touches.
 ///
 /// First trip wins: the first limit to fire latches its Status, and every
-/// later Check returns that same status so all workers abort with one
-/// consistent, typed error identifying the limit, its configured value,
-/// and the observed value at trip time.
+/// later Check returns that same status, a typed error identifying the
+/// limit, its configured value, and the observed value at trip time.
 class QueryGuard {
  public:
   /// Arms the guard if any of the three limits is configured (0/null mean
@@ -69,24 +65,23 @@ class QueryGuard {
 
   /// The metering-point check. `memory_bytes` is the engine's current
   /// approximate footprint, or -1 when not tracked for this call. Returns
-  /// OK, or the (latched) typed trip status. Thread-safe.
+  /// OK, or the (latched) typed trip status.
   Status Check(int64_t memory_bytes);
 
   /// Largest memory_bytes value any Check observed since arming.
-  int64_t bytes_peak() const {
-    return bytes_peak_.load(std::memory_order_relaxed);
-  }
+  int64_t bytes_peak() const { return bytes_peak_; }
 
   /// Microseconds until the deadline (negative once past it); 0 when no
   /// deadline is configured.
   int64_t micros_remaining() const;
 
   /// True iff the guard tripped and the tripping limit was cancellation.
-  bool tripped_cancelled() const;
+  bool tripped_cancelled() const {
+    return tripped_ && trip_status_.code() == StatusCode::kCancelled;
+  }
 
  private:
-  /// Latches `s` as the trip status (first caller wins) and returns the
-  /// latched status.
+  /// Latches `s` as the trip status and returns it.
   Status Trip(Status s);
 
   bool armed_ = false;
@@ -95,9 +90,8 @@ class QueryGuard {
   std::shared_ptr<CancellationToken> cancel_;
   std::chrono::steady_clock::time_point deadline_{};
 
-  std::atomic<int64_t> bytes_peak_{0};
-  std::atomic<bool> tripped_{false};
-  mutable std::mutex mu_;  // Guards trip_status_.
+  int64_t bytes_peak_ = 0;
+  bool tripped_ = false;
   Status trip_status_;
 };
 

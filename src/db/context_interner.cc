@@ -18,11 +18,9 @@ ContextId ContextInterner::InternElements(std::vector<int64_t> elems) {
                      static_cast<ContextId>(elements_by_id_.size()));
   if (inserted) {
     elements_by_id_.push_back(&it->first);
-    approx_bytes_.fetch_add(
-        static_cast<int64_t>(sizeof(std::vector<int64_t>) +
-                             it->first.capacity() * sizeof(int64_t) +
-                             sizeof(ContextId) + 3 * sizeof(void*)),
-        std::memory_order_relaxed);
+    approx_bytes_ += static_cast<int64_t>(
+        sizeof(std::vector<int64_t>) + it->first.capacity() * sizeof(int64_t) +
+        sizeof(ContextId) + 3 * sizeof(void*));
   }
   return it->second;
 }
@@ -70,9 +68,7 @@ ContextId ContextInterner::Apply(ContextId from, int64_t elem, bool insert) {
   if (edges_.emplace(EdgeKey{to, elem, !insert}, from).second) {
     edge_bytes += kEdgeBytes;
   }
-  if (edge_bytes != 0) {
-    approx_bytes_.fetch_add(edge_bytes, std::memory_order_relaxed);
-  }
+  approx_bytes_ += edge_bytes;
   return to;
 }
 

@@ -1,7 +1,6 @@
 #ifndef HYPO_DB_CONTEXT_INTERNER_H_
 #define HYPO_DB_CONTEXT_INTERNER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -61,8 +60,8 @@ class ContextInterner {
   /// Interns the context whose elements are exactly the additions in
   /// `added` (which must be sorted and duplicate-free). The direct route
   /// to a ContextId for callers that hold a canonical added-fact set
-  /// rather than an overlay walk — the BottomUpEngine keys its sharded
-  /// state cache this way.
+  /// rather than an overlay walk — the BottomUpEngine keys its state
+  /// map this way.
   ContextId InternAddedSet(const std::vector<FactId>& added);
 
   /// The canonical (sorted) element set of `id`.
@@ -77,13 +76,9 @@ class ContextInterner {
   int64_t transition_hits() const { return transition_hits_; }
 
   /// Rough footprint of the interner (canonical sets + both hash maps).
-  /// Maintained incrementally, so reading is O(1) and safe from worker
-  /// threads while another thread interns (hence the atomic): the memory
-  /// budget in QueryGuard polls this at metering frequency.
-  size_t ApproxBytes() const {
-    return static_cast<size_t>(
-        approx_bytes_.load(std::memory_order_relaxed));
-  }
+  /// Maintained incrementally, so reading is O(1): the memory budget in
+  /// QueryGuard polls this at metering frequency.
+  size_t ApproxBytes() const { return static_cast<size_t>(approx_bytes_); }
 
  private:
   struct EdgeKey {
@@ -119,7 +114,7 @@ class ContextInterner {
 
   int64_t transitions_ = 0;
   int64_t transition_hits_ = 0;
-  std::atomic<int64_t> approx_bytes_{0};
+  int64_t approx_bytes_ = 0;
 };
 
 }  // namespace hypo

@@ -539,7 +539,7 @@ class Database {
   /// (const paths) grow it; never touched while sealed, so no atomics.
   mutable int64_t approx_bytes_ = 0;
   /// While true, probes never mutate index state (see SealIndexes).
-  /// Flipped only between parallel phases, never concurrently with reads.
+  /// Flipped only between epochs, never concurrently with reads.
   mutable bool sealed_ = false;
   /// See EnableSortedIndexes().
   mutable bool sorted_on_seal_ = false;

@@ -15,8 +15,7 @@ using Tuple = std::vector<ConstId>;
 
 /// Hashes anything tuple-shaped (size() + operator[] over ConstId): a
 /// materialized Tuple or a columnar RowRef. One definition so both
-/// storage backends — and the parallel fixpoint's hash sharding — agree
-/// on every row's hash bit-for-bit.
+/// storage backends agree on every row's hash bit-for-bit.
 template <typename Row>
 uint64_t HashRowLike(const Row& row) {
   uint64_t h = row.size();

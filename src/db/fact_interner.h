@@ -1,7 +1,6 @@
 #ifndef HYPO_DB_FACT_INTERNER_H_
 #define HYPO_DB_FACT_INTERNER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -33,13 +32,11 @@ class FactInterner {
     FactId id = static_cast<FactId>(facts_.size());
     facts_.push_back(fact);
     index_.emplace(fact, id);
-    // The fact is stored twice (dense vector + index key); atomic so
-    // budget checks on other threads can read while one thread interns.
-    approx_bytes_.fetch_add(
+    // The fact is stored twice (dense vector + index key).
+    approx_bytes_ +=
         2 * static_cast<int64_t>(sizeof(Fact) +
                                  fact.args.size() * sizeof(ConstId)) +
-            32,
-        std::memory_order_relaxed);
+        32;
     return id;
   }
 
@@ -53,16 +50,14 @@ class FactInterner {
   const Fact& Get(FactId id) const { return facts_[id]; }
   int size() const { return static_cast<int>(facts_.size()); }
 
-  /// Rough footprint of the table; O(1), readable concurrently with
-  /// interning (for the engines' memory-budget accounting).
-  int64_t ApproxBytes() const {
-    return approx_bytes_.load(std::memory_order_relaxed);
-  }
+  /// Rough footprint of the table; O(1) (for the engines' memory-budget
+  /// accounting).
+  int64_t ApproxBytes() const { return approx_bytes_; }
 
  private:
   std::vector<Fact> facts_;
   std::unordered_map<Fact, FactId, FactHash> index_;
-  std::atomic<int64_t> approx_bytes_{0};
+  int64_t approx_bytes_ = 0;
 };
 
 }  // namespace hypo

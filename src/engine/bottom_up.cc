@@ -10,7 +10,6 @@
 
 #include "analysis/restricted.h"
 #include "base/failpoint.h"
-#include "base/stopwatch.h"
 #include "engine/memo_board.h"
 #include "engine/vm/compiler.h"
 #include "engine/vm/executor.h"
@@ -94,20 +93,7 @@ AdornMask GroundMask(size_t arity) {
   return arity == 0 ? 0u : ((1u << arity) - 1u);
 }
 
-/// The premise a full (non-delta) rule version is sharded on: the plan's
-/// first positive match, whose candidate tuples partition the rule's
-/// instantiations. -1 when the rule has no positive premise (the version
-/// then runs whole in shard 0).
-int FirstPositivePremise(const BodyPlan& plan) {
-  for (const PlanStep& step : plan.steps) {
-    if (step.kind == PlanStep::Kind::kMatchPositive) return step.premise_index;
-  }
-  return -1;
-}
-
-/// RAII unseal for the databases a parallel phase froze; UnsealIndexes is
-/// idempotent, so early explicit unseals (before the barrier merge) are
-/// fine.
+/// RAII unseal for the base a top-level region sealed.
 struct Unsealer {
   const Database* db;
   explicit Unsealer(const Database* d) : db(d) {}
@@ -143,16 +129,11 @@ Status BottomUpEngine::Init() {
   if (options_.demand && demand_profile_ == nullptr) {
     demand_profile_ = std::make_unique<DemandProfile>(rulebase_);
   }
-  if (options_.num_threads >= 2 && pool_ == nullptr) {
-    // N-way parallelism = N-1 workers + the calling thread (RunBatch
-    // callers participate).
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1);
-  }
   HYPO_RETURN_IF_ERROR(RebuildActivePlans());
 
   SetDomain(ComputeDomain(*rulebase_, *base_, extra_constants_));
-  states_.Clear();
-  tracked_bytes_.store(0, std::memory_order_relaxed);
+  states_.clear();
+  tracked_bytes_ = 0;
   ++stats_.domain_rebuilds;
   initialized_ = true;
   return Status::OK();
@@ -204,9 +185,9 @@ Status BottomUpEngine::RebuildActivePlans() {
   }
 
   // Every probe signature any plan step can issue at runtime, for the
-  // parallel fixpoint's prepare-then-seal choreography. The static
-  // probe_mask equals the runtime BoundSignature exactly, so a sealed
-  // database prepared with these never degrades to a full scan.
+  // prepare-then-seal of the base. The static probe_mask equals the
+  // runtime BoundSignature exactly, so a sealed database prepared with
+  // these never degrades to a full scan.
   static_sigs_.clear();
   for (int r = 0; r < program.num_rules(); ++r) {
     AddProbeSignatures(program.rule(r).premises, rule_plans_[r]);
@@ -266,7 +247,7 @@ Status BottomUpEngine::RefreshDemandProgram(bool widened) {
   demand_program_ = std::make_unique<DemandProgram>(std::move(program));
   // Memoized states are kept: demand only widens, so their models hold
   // true facts of a subset of the new demanded slice. The version bump
-  // makes the state cache re-extend each one lazily on its next touch.
+  // makes EnsureState re-extend each one lazily on its next touch.
   ++demand_version_;
   return RebuildActivePlans();
 }
@@ -366,67 +347,21 @@ Status BottomUpEngine::EnsureFactConstants(const Fact& fact) {
   return Status::OK();
 }
 
-Status BottomUpEngine::CheckLimits(WorkCtx* work) {
-  const int64_t states = states_.size();
+Status BottomUpEngine::CheckLimits() {
+  const int64_t states = static_cast<int64_t>(states_.size());
   if (states > options_.max_states) {
-    Status s = Status::ResourceExhausted(
+    return Status::ResourceExhausted(
         LimitTripMessage("max_states", options_.max_states, states));
-    if (work->meter != nullptr) work->meter->Record(s);
-    return s;
   }
-  // Flush this thread's incremental byte delta into the shared total:
-  // always while a guard is armed (its memory check must see the bytes),
-  // otherwise only past a threshold so unarmed metering costs no atomic
-  // traffic.
-  if (work->local_bytes != 0 &&
-      (guard_.armed() || work->local_bytes >= 4096 ||
-       work->local_bytes <= -4096)) {
-    tracked_bytes_.fetch_add(work->local_bytes, std::memory_order_relaxed);
-    work->local_bytes = 0;
-  }
-  if (work->meter == nullptr) {
-    // Sequential path: the accumulator is the engine's own stats_.
-    if (work->stats->goals_expanded > options_.max_steps ||
-        work->stats->enumerations > options_.max_steps) {
-      return Status::ResourceExhausted(LimitTripMessage(
-          "max_steps", options_.max_steps,
-          std::max(work->stats->goals_expanded,
-                   work->stats->enumerations)));
-    }
-    if (guard_.armed()) {
-      ++work->stats->guard_checks;
-      return guard_.Check(guard_.wants_memory() ? MemoryBytes(work) : -1);
-    }
-    return Status::OK();
-  }
-  // Parallel path: publish this worker's unpublished counts, then enforce
-  // the limits against the global totals, so max_steps means the same
-  // thing at every thread count (up to one publish interval of slack).
-  ParallelMeter& m = *work->meter;
-  m.goals.fetch_add(work->stats->goals_expanded - work->published_goals,
-                    std::memory_order_relaxed);
-  work->published_goals = work->stats->goals_expanded;
-  m.enums.fetch_add(work->stats->enumerations - work->published_enums,
-                    std::memory_order_relaxed);
-  work->published_enums = work->stats->enumerations;
-  if (m.abort.load(std::memory_order_acquire)) return m.FirstError();
-  const int64_t goals = m.goals.load(std::memory_order_relaxed);
-  const int64_t enums = m.enums.load(std::memory_order_relaxed);
-  if (goals > options_.max_steps || enums > options_.max_steps) {
-    Status s = Status::ResourceExhausted(LimitTripMessage(
-        "max_steps", options_.max_steps, std::max(goals, enums)));
-    m.Record(s);
-    return s;
+  if (stats_.goals_expanded > options_.max_steps ||
+      stats_.enumerations > options_.max_steps) {
+    return Status::ResourceExhausted(
+        LimitTripMessage("max_steps", options_.max_steps,
+                         std::max(stats_.goals_expanded, stats_.enumerations)));
   }
   if (guard_.armed()) {
-    ++work->stats->guard_checks;
-    Status gs = guard_.Check(guard_.wants_memory() ? MemoryBytes(work) : -1);
-    if (!gs.ok()) {
-      // Raise the shared abort flag so every sibling worker bails at its
-      // next metering check with the same trip status.
-      m.Record(gs);
-      return gs;
-    }
+    ++stats_.guard_checks;
+    return guard_.Check(guard_.wants_memory() ? MemoryBytes() : -1);
   }
   return Status::OK();
 }
@@ -439,136 +374,113 @@ int64_t BottomUpEngine::StateBytes(const State& s) {
                               (sizeof(FactId) + 2 * sizeof(void*)));
 }
 
-int64_t BottomUpEngine::MemoryBytes(const WorkCtx* work) const {
-  int64_t bytes = tracked_bytes_.load(std::memory_order_relaxed) +
-                  interner_.ApproxBytes() + ctx_interner_.ApproxBytes();
-  if (work != nullptr) bytes += work->local_bytes;
-  return bytes;
+int64_t BottomUpEngine::MemoryBytes() const {
+  return tracked_bytes_ + interner_.ApproxBytes() +
+         ctx_interner_.ApproxBytes();
 }
 
 void BottomUpEngine::RecomputeTrackedBytes() {
-  int64_t bytes = 0;
-  states_.ForEach([&bytes](const State& s) { bytes += StateBytes(s); });
-  tracked_bytes_.store(bytes, std::memory_order_relaxed);
+  tracked_bytes_ = 0;
+  for (const auto& [key, state] : states_) tracked_bytes_ += StateBytes(*state);
 }
 
-int64_t BottomUpEngine::InternStateKey(const StateKey& key) {
-  std::lock_guard<std::mutex> lock(intern_mu_);
-  return static_cast<int64_t>(ctx_interner_.InternAddedSet(key));
-}
+StatusOr<BottomUpEngine::State*> BottomUpEngine::EnsureState(
+    int64_t ckey, const StateKey& key, int through,
+    const std::vector<Fact>& seeds, bool may_seal_base, const State* lower) {
+  std::unique_ptr<State>& slot = states_[ckey];
+  if (slot == nullptr) {
+    slot = std::make_unique<State>(base_->symbols_ptr(), base_->backend());
+    slot->key = key;
+    slot->added_set.insert(key.begin(), key.end());
+    StoreAdditions(slot.get());
+    tracked_bytes_ += StateBytes(*slot);
+    slot->demand_version = demand_version_;
+    ++stats_.states_evaluated;
+    if (lower != nullptr) ++stats_.states_derived;
+  } else {
+    ++stats_.memo_hits;
+  }
+  State* s = slot.get();
+  // Decide whether the model must be (re)computed. A model computed under
+  // a narrower demand profile, or left incomplete by an aborted run, must
+  // be re-extended; so must one that has not yet reached `through`, or
+  // into which a query just injected a new magic seed. Re-extension
+  // re-runs the strata from 0: ext is append-only and every fact in it is
+  // a true fact of the (wider) demanded slice, so the re-run only adds
+  // facts — answers never change, work is only redone.
+  bool rerun = s->dirty || s->demand_version != demand_version_;
+  for (const Fact& seed : seeds) {
+    if (s->ext.Insert(seed)) {
+      ++stats_.magic_facts;
+      tracked_bytes_ += ApproxFactBytes(seed.args.size());
+      rerun = true;
+    }
+  }
+  const int target = std::max(through, s->completed_through);
+  if (!rerun && target <= s->completed_through) return s;
+  // Injected abort between "must run" and the run: the state is left as
+  // it was, so recovery just re-enters.
+  HYPO_FAILPOINT("statecache.materialize");
 
-template <typename Read>
-Status BottomUpEngine::EnsureState(int64_t ckey, const StateKey& key,
-                                   int through,
-                                   const std::vector<Fact>& seeds,
-                                   WorkCtx* work, bool allow_parallel,
-                                   const State* lower, const Read& read) {
-  bool created = false;
-  int target = through;
-  auto factory = [&](int64_t) -> std::unique_ptr<State> {
-    created = true;
-    auto owned = std::make_unique<State>(base_->symbols_ptr(), base_->backend());
-    owned->key = key;
-    owned->added_set.insert(key.begin(), key.end());
-    StoreAdditions(owned.get());
-    work->local_bytes += StateBytes(*owned);
-    owned->demand_version = demand_version_;
-    ++work->stats->states_evaluated;
-    if (lower != nullptr) ++work->stats->states_derived;
-    return owned;
-  };
-  // Under the shard lock: decide whether the model must be (re)computed.
-  // A model computed under a narrower demand profile, or left incomplete
-  // by an aborted run, must be re-extended; so must one that has not yet
-  // reached `through`, or into which a query just injected a new magic
-  // seed. Re-extension re-runs the strata from 0: ext is append-only and
-  // every fact in it is a true fact of the (wider) demanded slice, so the
-  // re-run only adds facts — answers never change, work is only redone.
-  auto needs_run = [&](State* s) -> bool {
-    bool rerun = s->dirty || s->demand_version != demand_version_;
-    for (const Fact& seed : seeds) {
-      if (s->ext.Insert(seed)) {
-        ++work->stats->magic_facts;
-        work->local_bytes += ApproxFactBytes(seed.args.size());
-        rerun = true;
-      }
-    }
-    target = std::max(target, s->completed_through);
-    return rerun || target > s->completed_through;
-  };
-  auto compute = [&](State* s) -> Status {
-    // dirty stays raised until the model completes, so an abort mid-way
-    // leaves the state marked for recomputation, never served as-is.
-    // A half-built model is a sound subset of the true one — unless it
-    // was being derived: its hidden set and lower layer are then partial
-    // too, and a re-derivation must start from the added facts alone.
-    if (s->dirty && (s->lower != nullptr || lower != nullptr)) {
-      ResetToAdditions(s, work);
-    }
-    s->dirty = true;
-    HYPO_FAILPOINT("bottomup.compute_model");
-    HYPO_RETURN_IF_ERROR(CheckLimits(work));
-    if (lower != nullptr) {
-      HYPO_RETURN_IF_ERROR(DeriveChild(s, lower, work));
-      s->completed_through = target;
-      s->demand_version = demand_version_;
-      s->dirty = false;
-      return Status::OK();
-    }
-    // Only the base state's FULL model is board-shareable: the empty
-    // context is the same id on every engine, no magic seeds narrow the
-    // model, and the fixpoint runs through the last stratum. Runs on the
-    // calling thread (workers only ever compute child states), so no
-    // engine-local translation state can race.
-    const bool shareable = board_ != nullptr && !options_.demand &&
-                           key.empty() && seeds.empty() &&
-                           target >= strata_.num_strata - 1;
-    if (shareable) {
-      std::shared_ptr<const Database> model =
-          board_->LookupModel(ContextInterner::kEmptyContext, domain_fp_);
-      if (model != nullptr) {
-        // Adopt wholesale. Any partial ext left by an aborted run holds
-        // sound derivations, i.e. a subset of the model — replacing it
-        // loses nothing.
-        const int64_t before = StateBytes(*s);
-        s->ext = model->Clone();
-        work->local_bytes += StateBytes(*s) - before;
-        ++work->stats->cache_hits_cross_query;
-        s->completed_through = target;
-        s->demand_version = demand_version_;
-        s->dirty = false;
-        return Status::OK();
-      }
-    }
-    HYPO_RETURN_IF_ERROR(ComputeModel(s, target, work, allow_parallel));
+  // dirty stays raised until the model completes, so an abort mid-way
+  // leaves the state marked for recomputation, never served as-is.
+  // A half-built model is a sound subset of the true one — unless it
+  // was being derived: its hidden set and lower layer are then partial
+  // too, and a re-derivation must start from the added facts alone.
+  if (s->dirty && (s->lower != nullptr || lower != nullptr)) {
+    ResetToAdditions(s);
+  }
+  s->dirty = true;
+  HYPO_FAILPOINT("bottomup.compute_model");
+  HYPO_RETURN_IF_ERROR(CheckLimits());
+  if (lower != nullptr) {
+    HYPO_RETURN_IF_ERROR(DeriveChild(s, lower));
     s->completed_through = target;
     s->demand_version = demand_version_;
     s->dirty = false;
-    if (shareable) {
-      board_->PublishModel(ContextInterner::kEmptyContext, domain_fp_,
-                           std::make_shared<Database>(s->ext.Clone()));
+    return s;
+  }
+  // Only the base state's FULL model is board-shareable: the empty
+  // context is the same id on every engine, no magic seeds narrow the
+  // model, and the fixpoint runs through the last stratum.
+  const bool shareable = board_ != nullptr && !options_.demand &&
+                         key.empty() && seeds.empty() &&
+                         target >= strata_.num_strata - 1;
+  if (shareable) {
+    std::shared_ptr<const Database> model =
+        board_->LookupModel(ContextInterner::kEmptyContext, domain_fp_);
+    if (model != nullptr) {
+      // Adopt wholesale. Any partial ext left by an aborted run holds
+      // sound derivations, i.e. a subset of the model — replacing it
+      // loses nothing.
+      const int64_t before = StateBytes(*s);
+      s->ext = model->Clone();
+      tracked_bytes_ += StateBytes(*s) - before;
+      ++stats_.cache_hits_cross_query;
+      s->completed_through = target;
+      s->demand_version = demand_version_;
+      s->dirty = false;
+      return s;
     }
-    return Status::OK();
-  };
-  Status status =
-      states_.EnsureComputed(ckey, factory, needs_run, compute, read);
-  if (!created) ++work->stats->memo_hits;
-  return status;
+  }
+  HYPO_RETURN_IF_ERROR(ComputeModel(s, target, may_seal_base));
+  s->completed_through = target;
+  s->demand_version = demand_version_;
+  s->dirty = false;
+  if (shareable) {
+    board_->PublishModel(ContextInterner::kEmptyContext, domain_fp_,
+                         std::make_shared<Database>(s->ext.Clone()));
+  }
+  return s;
 }
 
-StatusOr<BottomUpEngine::State*> BottomUpEngine::MaterializeState(
-    const StateKey& key, int through, const std::vector<Fact>& seeds,
-    WorkCtx* work) {
-  int64_t ckey = InternStateKey(key);
-  State* out = nullptr;
-  HYPO_RETURN_IF_ERROR(EnsureState(ckey, key, through, seeds, work,
-                                   /*allow_parallel=*/true, /*lower=*/nullptr,
-                                   [&](State* s) { out = s; }));
-  return out;
+StatusOr<BottomUpEngine::State*> BottomUpEngine::MaterializeBase(
+    int through, const std::vector<Fact>& seeds) {
+  return EnsureState(ContextInterner::kEmptyContext, {}, through, seeds,
+                     /*may_seal_base=*/true, /*lower=*/nullptr);
 }
 
-Status BottomUpEngine::DeriveChild(State* child, const State* lower,
-                                   WorkCtx* work) {
+Status BottomUpEngine::DeriveChild(State* child, const State* lower) {
   const int64_t bytes_before = StateBytes(*child) + lower->ext.ApproxBytes();
   child->lower = lower;
   Status status = [&]() -> Status {
@@ -581,18 +493,18 @@ Status BottomUpEngine::DeriveChild(State* child, const State* lower,
     });
     for (int s = 0; s < strata_.num_strata; ++s) {
       HYPO_FAILPOINT("bottomup.derive_child");
-      HYPO_RETURN_IF_ERROR(RepairStratum(child, s, &ins, &del, work));
+      HYPO_RETURN_IF_ERROR(RepairStratum(child, s, &ins, &del));
     }
     return Status::OK();
   }();
   // Exact growth, success or not: the child's model and hidden set, and
   // the probe indexes its rounds built on the lower layer.
-  work->local_bytes +=
+  tracked_bytes_ +=
       StateBytes(*child) + lower->ext.ApproxBytes() - bytes_before;
   return status;
 }
 
-void BottomUpEngine::ResetToAdditions(State* state, WorkCtx* work) {
+void BottomUpEngine::ResetToAdditions(State* state) {
   const int64_t before = StateBytes(*state);
   retired_index_builds_ +=
       state->ext.index_builds() + state->hidden.index_builds();
@@ -600,14 +512,10 @@ void BottomUpEngine::ResetToAdditions(State* state, WorkCtx* work) {
   state->hidden = Database(base_->symbols_ptr(), base_->backend());
   state->lower = nullptr;
   StoreAdditions(state);
-  work->local_bytes += StateBytes(*state) - before;
+  tracked_bytes_ += StateBytes(*state) - before;
 }
 
 void BottomUpEngine::StoreAdditions(State* state) {
-  // interner_ may be growing concurrently (TestHypothetical on other
-  // workers); Get must not race a rehash. Shard-lock-then-intern is the
-  // global lock order, so this nesting cannot deadlock.
-  std::lock_guard<std::mutex> lock(intern_mu_);
   for (FactId id : state->key) state->ext.Insert(interner_.Get(id));
 }
 
@@ -615,7 +523,6 @@ bool BottomUpEngine::IsDerived(const State& state, const Fact& fact) {
   if (state.lower == nullptr) return state.ext.Contains(fact);
   if (state.ext.Contains(fact)) {
     // A derived child's ext also stores its added facts.
-    std::lock_guard<std::mutex> lock(intern_mu_);
     const FactId id = interner_.Find(fact);
     return id < 0 || state.added_set.count(id) == 0;
   }
@@ -630,30 +537,26 @@ void BottomUpEngine::InsertDerived(State* state, const Fact& fact) {
   state->ext.Insert(fact);
 }
 
-Status BottomUpEngine::ComputeModel(State* state, int through, WorkCtx* work,
-                                    bool allow_parallel) {
-  const bool parallel = allow_parallel && pool_ != nullptr;
+Status BottomUpEngine::ComputeModel(State* state, int through,
+                                    bool may_seal_base) {
   // When a long-lived caller (src/server) has already sealed the base for
   // an epoch, its seal — and the indexes it prepared — are shared with
-  // other concurrent readers; leave both alone. Probes for signatures the
+  // other engines reading it; leave both alone. Probes for signatures the
   // caller did not prepare degrade to full scans, which stays correct.
-  // Only the top-level region seals: a child computed inside a parallel
-  // region finds the base sealed, and any other child runs on the calling
-  // thread nested in a probe of the base (a query's hypothetical premise,
-  // a repair's rebuild) whose index a re-seal would re-sort — and free —
-  // when the relation changed since the last seal.
-  const bool own_base_seal = allow_parallel && !base_->sealed();
+  // Only the top-level region seals: a child runs nested in a probe of
+  // the base (a query's hypothetical premise, a repair's rebuild) whose
+  // index a re-seal would re-sort — and free — when the relation changed
+  // since the last seal.
+  const bool own_base_seal = may_seal_base && !base_->sealed();
   Unsealer base_unsealer(own_base_seal ? base_ : nullptr);
   if (own_base_seal) {
-    // Freeze the shared base for the whole region: every statically
-    // possible probe signature gets an up-to-date index, then probes
-    // (including concurrent sequential child-state computations running
-    // on workers in parallel mode) are strictly read-only. The base is
-    // long-lived and read-mostly, so it gets the sorted-permutation
-    // treatment: probes against it binary-search contiguous ranges, and
-    // re-sealing it for the next query is O(1) per the relation-version
-    // cache. (The engine's own delta/ext databases stay on incremental
-    // hash indexes — they churn every round.)
+    // Freeze the base for the whole region: every statically possible
+    // probe signature gets an up-to-date index. The base is long-lived
+    // and read-mostly, so it gets the sorted-permutation treatment:
+    // probes against it binary-search contiguous ranges, and re-sealing
+    // it for the next query is O(1) per the relation-version cache. (The
+    // engine's own delta/ext databases stay on incremental hash indexes
+    // — they churn every round.)
     base_->EnableSortedIndexes();
     for (const auto& [pred, mask] : static_sigs_) {
       base_->PrepareIndex(pred, mask);
@@ -662,14 +565,10 @@ Status BottomUpEngine::ComputeModel(State* state, int through, WorkCtx* work,
   }
   const int last = std::min(through, strata_.num_strata - 1);
   for (int s = 0; s <= last; ++s) {
-    if (parallel) {
-      HYPO_RETURN_IF_ERROR(ComputeStratumParallel(state, s, work));
-    } else {
-      HYPO_RETURN_IF_ERROR(ComputeStratumSequential(state, s, work));
-    }
+    HYPO_RETURN_IF_ERROR(ComputeStratum(state, s));
   }
   if (last < strata_.num_strata - 1) {
-    work->stats->strata_skipped += strata_.num_strata - 1 - last;
+    stats_.strata_skipped += strata_.num_strata - 1 - last;
   }
   return Status::OK();
 }
@@ -713,8 +612,7 @@ std::vector<BottomUpEngine::RuleVersion> BottomUpEngine::RoundVersions(
   return versions;
 }
 
-Status BottomUpEngine::ComputeStratumSequential(State* state, int stratum,
-                                                WorkCtx* work) {
+Status BottomUpEngine::ComputeStratum(State* state, int stratum) {
   // Predicates whose relations gained tuples in the previous round, and
   // the new tuples themselves, rotated per round.
   std::unordered_set<PredicateId> changed_last;
@@ -723,154 +621,18 @@ Status BottomUpEngine::ComputeStratumSequential(State* state, int stratum,
   Database next_delta(base_->symbols_ptr(), base_->backend());
   bool first_round = true;
   while (true) {
-    ++work->stats->fixpoint_rounds;
+    ++stats_.fixpoint_rounds;
     HYPO_FAILPOINT("bottomup.round");
     for (const RuleVersion& v :
          RoundVersions(stratum, changed_last, first_round)) {
       EvalCtx ctx;
       ctx.state = state;
-      ctx.work = work;
       if (v.delta_premise >= 0) {
         ctx.delta_premise = v.delta_premise;
         ctx.delta = &delta;
       }
       HYPO_RETURN_IF_ERROR(
           EvaluateRule(v.rule, &ctx, &next_delta, &changed_now));
-    }
-    if (changed_now.empty()) break;
-    retired_index_builds_ += delta.index_builds();
-    delta = std::move(next_delta);
-    next_delta = Database(base_->symbols_ptr(), base_->backend());
-    changed_last = std::move(changed_now);
-    changed_now.clear();
-    first_round = false;
-  }
-  retired_index_builds_ += delta.index_builds() + next_delta.index_builds();
-  return Status::OK();
-}
-
-Status BottomUpEngine::ComputeStratumParallel(State* state, int stratum,
-                                              WorkCtx* work) {
-  std::unordered_set<PredicateId> changed_last;
-  std::unordered_set<PredicateId> changed_now;
-  Database delta(base_->symbols_ptr(), base_->backend());
-  Database next_delta(base_->symbols_ptr(), base_->backend());
-  const int num_shards = pool_->num_workers() + 1;
-  ParallelMeter meter;
-  bool first_round = true;
-  while (true) {
-    ++work->stats->fixpoint_rounds;
-    HYPO_FAILPOINT("bottomup.round");
-    // The coordinator owns the bytes from the state's seeding and from
-    // every barrier merge; flush and guard-check them once per round, or
-    // the workers' memory checks would never see the growing model (their
-    // own inserts are buffered and deliberately uncounted).
-    HYPO_RETURN_IF_ERROR(CheckLimits(work));
-    // The same versions as the sequential rounds, evaluated by every
-    // shard.
-    const std::vector<RuleVersion> versions =
-        RoundVersions(stratum, changed_last, first_round);
-    if (!versions.empty()) {
-      ++work->stats->parallel_rounds;
-      // Re-baseline the shared meter to the exact totals so far; tasks
-      // publish their deltas on top.
-      meter.goals.store(work->stats->goals_expanded,
-                        std::memory_order_relaxed);
-      meter.enums.store(work->stats->enumerations, std::memory_order_relaxed);
-      // Freeze the round's read set (model + delta) behind up-to-date
-      // indexes for every statically possible probe signature.
-      for (const auto& [pred, mask] : static_sigs_) {
-        state->ext.PrepareIndex(pred, mask);
-        delta.PrepareIndex(pred, mask);
-      }
-      state->ext.SealIndexes();
-      delta.SealIndexes();
-      Unsealer ext_unsealer(&state->ext);
-      Unsealer delta_unsealer(&delta);
-
-      std::vector<EngineStats> task_stats(num_shards);
-      std::vector<Database> buffers;
-      buffers.reserve(num_shards);
-      for (int i = 0; i < num_shards; ++i) {
-        buffers.emplace_back(base_->symbols_ptr(), base_->backend());
-      }
-      std::vector<std::function<Status()>> tasks;
-      tasks.reserve(num_shards);
-      for (int shard = 0; shard < num_shards; ++shard) {
-        tasks.push_back([this, shard, num_shards, state, &versions, &delta,
-                         &buffers, &task_stats, &meter]() -> Status {
-          WorkCtx tw;
-          tw.stats = &task_stats[shard];
-          tw.meter = &meter;
-          for (const RuleVersion& v : versions) {
-            const int sp = v.delta_premise >= 0
-                               ? v.delta_premise
-                               : FirstPositivePremise(rule_plans_[v.rule]);
-            if (sp < 0 && shard != 0) continue;
-            EvalCtx ctx;
-            ctx.state = state;
-            ctx.work = &tw;
-            ctx.buffer = &buffers[shard];
-            if (v.delta_premise >= 0) {
-              ctx.delta_premise = v.delta_premise;
-              ctx.delta = &delta;
-            }
-            if (sp >= 0) {
-              ctx.shard_premise = sp;
-              ctx.shard = shard;
-              ctx.num_shards = num_shards;
-            }
-            Status st = EvaluateRule(v.rule, &ctx, nullptr, nullptr);
-            if (!st.ok()) {
-              // Raise the shared abort flag so sibling tasks bail at
-              // their next metering check instead of finishing the round.
-              meter.Record(st);
-              return st;
-            }
-          }
-          return Status::OK();
-        });
-      }
-      Status round_status = pool_->RunBatch(std::move(tasks));
-
-      Stopwatch barrier;
-      state->ext.UnsealIndexes();
-      delta.UnsealIndexes();
-      // Per-worker counters merge exactly, success or abort.
-      for (const EngineStats& ts : task_stats) work->stats->Merge(ts);
-      // After the merge, before the status gate: an injected barrier
-      // abort leaves the state dirty with the round's buffers dropped.
-      HYPO_FAILPOINT("bottomup.round_barrier");
-      HYPO_RETURN_IF_ERROR(round_status);
-
-      // Deterministic merge: buffered facts from all shards, sorted by
-      // (predicate, tuple), inserted once each. The round's resulting
-      // model — contents AND insertion order — is independent of both the
-      // scheduling and the thread count.
-      std::vector<Fact> merged;
-      for (const Database& b : buffers) {
-        b.ForEach([&merged](const Fact& f) { merged.push_back(f); });
-      }
-      std::sort(merged.begin(), merged.end(),
-                [](const Fact& a, const Fact& b) {
-                  if (a.predicate != b.predicate) {
-                    return a.predicate < b.predicate;
-                  }
-                  return a.args < b.args;
-                });
-      for (const Fact& f : merged) {
-        if (!state->ext.Insert(f)) continue;  // Cross-shard duplicate.
-        work->local_bytes += ApproxFactBytes(f.args.size());
-        ++work->stats->facts_derived;
-        if (demand_program_ != nullptr &&
-            demand_program_->IsMagic(f.predicate)) {
-          ++work->stats->magic_facts;
-        }
-        changed_now.insert(f.predicate);
-        next_delta.Insert(f);
-        ++work->stats->delta_facts;
-      }
-      work->stats->barrier_micros += barrier.ElapsedMicros();
     }
     if (changed_now.empty()) break;
     retired_index_builds_ += delta.index_builds();
@@ -897,19 +659,6 @@ struct BottomUpEngine::VmHost {
   const Database* extra;
   const Database* skip;
 
-  /// The row hash is only computed when this premise actually shards the
-  /// round — hashing every candidate row would dominate tight
-  /// single-threaded joins.
-  template <typename Row>
-  bool InShard(int premise_index, const Row& row) const {
-    if (premise_index != ctx->shard_premise || ctx->num_shards <= 1) {
-      return true;
-    }
-    return static_cast<int>(HashRowLike(row) %
-                            static_cast<size_t>(ctx->num_shards)) ==
-           ctx->shard;
-  }
-
   Status OpenScan(const vm::Op& op, const std::vector<ConstId>&,
                   vm::ScanState* st) {
     if (op.designated) {
@@ -924,12 +673,11 @@ struct BottomUpEngine::VmHost {
 
   template <typename Row>
   bool AcceptRow(const vm::Op& op, const Row& row) {
-    // Another shard's instantiation is skipped uncounted. Premises before
-    // the designated delta premise range over the pre-delta relation, so
-    // an instantiation touching k delta tuples fires once, not k times;
-    // DRed's old-model mode skips this epoch's net insertions.
-    if (!InShard(op.premise_index, row)) return false;
-    ++ctx->work->stats->join_probes;
+    // Premises before the designated delta premise range over the
+    // pre-delta relation, so an instantiation touching k delta tuples
+    // fires once, not k times; DRed's old-model mode skips this epoch's
+    // net insertions.
+    ++eng->stats_.join_probes;
     if (op.exclude_delta && ctx->delta->Contains(op.pred, row)) {
       return false;
     }
@@ -940,8 +688,6 @@ struct BottomUpEngine::VmHost {
                             const std::vector<ConstId>& regs) {
     const Atom& atom = (*premises)[op.premise_index].atom;
     Fact f = vm::GroundAtom(atom, regs.data());
-    // Another shard's instantiation: fail the op so the VM backtracks.
-    if (!InShard(op.premise_index, f.args)) return false;
     bool holds =
         op.designated ? ctx->delta->Contains(f) : eng->VisibleIn(*ctx, f);
     if (holds && op.exclude_delta && ctx->delta->Contains(f)) holds = false;
@@ -966,7 +712,7 @@ struct BottomUpEngine::VmHost {
     for (const Atom& a : premise.additions) {
       additions.push_back(vm::GroundAtom(a, regs.data()));
     }
-    return eng->TestHypothetical(ctx->state, query, additions, ctx->work);
+    return eng->TestHypothetical(ctx->state, query, additions);
   }
 
   StatusOr<bool> NegHolds(const vm::Op& op,
@@ -990,14 +736,12 @@ struct BottomUpEngine::VmHost {
   }
 
   const std::vector<ConstId>& Domain() { return eng->domain_; }
-  Status CountEnumeration() { return eng->CountEnumeration(ctx->work); }
+  Status CountEnumeration() { return eng->CountEnumeration(); }
   void CountSorted(size_t rows) {
-    ++ctx->work->stats->sorted_probes;
-    ctx->work->stats->merge_join_rows += static_cast<int64_t>(rows);
+    ++eng->stats_.sorted_probes;
+    eng->stats_.merge_join_rows += static_cast<int64_t>(rows);
   }
-  void FlushOps(int64_t executed) {
-    ctx->work->stats->vm_ops_executed += executed;
-  }
+  void FlushOps(int64_t executed) { eng->stats_.vm_ops_executed += executed; }
 };
 
 template <typename EmitFn>
@@ -1005,7 +749,7 @@ StatusOr<bool> BottomUpEngine::RunProgram(const std::vector<Premise>& premises,
                                           const vm::Program& prog,
                                           EvalCtx* ctx, const EmitFn& emit,
                                           const Tuple* head) {
-  vm::FrameLease frame(&ctx->work->vm_frames, prog.num_vars);
+  vm::FrameLease frame(&vm_frames_, prog.num_vars);
   if (head != nullptr && !vm::MatchHead(prog, *head, frame->regs.data())) {
     return true;  // The rule cannot conclude this fact.
   }
@@ -1021,27 +765,20 @@ Status BottomUpEngine::EvaluateRule(
   State* state = ctx->state;
   Fact head;  // Reused across emits; Insert copies it out.
   auto emit = [&](const ConstId* regs) -> StatusOr<bool> {
-    ++ctx->work->stats->goals_expanded;
-    HYPO_RETURN_IF_ERROR(CheckLimits(ctx->work));
+    ++stats_.goals_expanded;
+    HYPO_RETURN_IF_ERROR(CheckLimits());
     vm::GroundAtomInto(rule.head, regs, &head);
     if (Visible(*state, head)) return true;  // Keep enumerating.
-    if (ctx->buffer != nullptr) {
-      // Parallel round: the model is sealed. Buffer the head (deduped per
-      // task by the buffer's own hash set); the barrier merge inserts it
-      // and does the exact-once accounting.
-      ctx->buffer->Insert(head);
-      return true;
-    }
     state->ext.Insert(head);
-    ctx->work->local_bytes += ApproxFactBytes(head.args.size());
-    ++ctx->work->stats->facts_derived;
+    tracked_bytes_ += ApproxFactBytes(head.args.size());
+    ++stats_.facts_derived;
     if (demand_program_ != nullptr &&
         demand_program_->IsMagic(head.predicate)) {
-      ++ctx->work->stats->magic_facts;
+      ++stats_.magic_facts;
     }
     changed->insert(head.predicate);
     next_delta->Insert(head);
-    ++ctx->work->stats->delta_facts;
+    ++stats_.delta_facts;
     return true;
   };
   const vm::Program* prog =
@@ -1050,33 +787,17 @@ Status BottomUpEngine::EvaluateRule(
 }
 
 StatusOr<bool> BottomUpEngine::TestHypothetical(
-    State* state, const Fact& query, const std::vector<Fact>& additions,
-    WorkCtx* work) {
+    State* state, const Fact& query, const std::vector<Fact>& additions) {
   HYPO_FAILPOINT("bottomup.hypothetical");
   // Additions already present in the state's *database* (base or added
   // facts — derived facts do not count, they are conclusions, not entries)
   // leave the state unchanged.
   std::vector<FactId> new_ids;
-  StateKey key;
-  int64_t ckey = 0;
-  {
-    // One intern_mu_ hold covers both the fact interning and the child
-    // key's context id — this runs once per hypothetical premise test, so
-    // a second lock round-trip is measurable.
-    std::lock_guard<std::mutex> lock(intern_mu_);
-    for (const Fact& f : additions) {
-      if (base_->Contains(f)) continue;
-      FactId id = interner_.Intern(f);
-      if (state->added_set.count(id) > 0) continue;
-      new_ids.push_back(id);
-    }
-    if (!new_ids.empty()) {
-      key = state->key;
-      key.insert(key.end(), new_ids.begin(), new_ids.end());
-      std::sort(key.begin(), key.end());
-      key.erase(std::unique(key.begin(), key.end()), key.end());
-      ckey = static_cast<int64_t>(ctx_interner_.InternAddedSet(key));
-    }
+  for (const Fact& f : additions) {
+    if (base_->Contains(f)) continue;
+    FactId id = interner_.Intern(f);
+    if (state->added_set.count(id) > 0) continue;
+    new_ids.push_back(id);
   }
   if (new_ids.empty()) {
     // Same state: behaves like a positive premise over the in-progress
@@ -1085,6 +806,11 @@ StatusOr<bool> BottomUpEngine::TestHypothetical(
     // already demanded the queried slice in this state.
     return Visible(*state, query);
   }
+  StateKey key = state->key;
+  key.insert(key.end(), new_ids.begin(), new_ids.end());
+  std::sort(key.begin(), key.end());
+  key.erase(std::unique(key.begin(), key.end()), key.end());
+  const int64_t ckey = ctx_interner_.InternAddedSet(key);
   // Demand propagates *into* the child state: seed its magic relation
   // with the ground queried atom's bound projection, and compute its
   // model only through the queried predicate's stratum.
@@ -1098,31 +824,25 @@ StatusOr<bool> BottomUpEngine::TestHypothetical(
     }
   }
   // A child of the complete base model is that model repaired by the
-  // additions. Only the calling thread reaches one: workers run while the
-  // base state computes (dirty), so the lower layer is immutable for the
-  // derivation and for as long as the child lives (ApplyBaseDelta drops
-  // children before it repairs the base).
+  // additions. The lower layer is immutable for the derivation and for
+  // as long as the child lives (ApplyBaseDelta drops children before it
+  // repairs the base).
   const State* lower = nullptr;
   if (state->key.empty() && !state->dirty &&
       state->completed_through >= strata_.num_strata - 1 &&
       !options_.demand && !has_hypothetical_) {
     lower = state;
   }
-  // Children are always computed sequentially (inter-state parallelism
-  // comes from different workers reaching *different* children); the
-  // visibility check runs under the cache-shard lock so a concurrent
-  // demand re-extension of the child can never be observed half-done.
-  bool holds = false;
-  HYPO_RETURN_IF_ERROR(EnsureState(
-      ckey, key, through, seeds, work, /*allow_parallel=*/false, lower,
-      [&](State* s) { holds = Visible(*s, query); }));
-  return holds;
+  HYPO_ASSIGN_OR_RETURN(State * child,
+                        EnsureState(ckey, key, through, seeds,
+                                    /*may_seal_base=*/false, lower));
+  return Visible(*child, query);
 }
 
 bool BottomUpEngine::ExistsMatch(const Atom& atom, Binding* binding,
                                  const EvalCtx& ctx) {
   if (binding->Grounds(atom)) return VisibleIn(ctx, binding->Ground(atom));
-  EngineStats* stats = ctx.work->stats;
+  EngineStats* stats = &stats_;
   std::vector<VarIndex> trail;
   bool found = false;
   const Database* skip = SkipSet(ctx);
@@ -1172,55 +892,42 @@ Status BottomUpEngine::ApplyBaseDelta(const BaseDelta& batch) {
   if (board_ != nullptr &&
       board_->LookupModel(ContextInterner::kEmptyContext, domain_fp_) !=
           nullptr) {
-    states_.Clear();
-    tracked_bytes_.store(0, std::memory_order_relaxed);
+    states_.clear();
+    tracked_bytes_ = 0;
     return MaybeReplanForCardinality();
   }
 
   // Hypothetical child states are whole models over the old base: drop
   // them (they rebuild lazily on their next touch) and repair the base
   // state's model in place.
-  State* base_state = states_.RetainOnly(InternStateKey({}));
-  if (base_state == nullptr) {
-    RecomputeTrackedBytes();
+  std::unique_ptr<State> kept;
+  if (auto it = states_.find(ContextInterner::kEmptyContext);
+      it != states_.end()) {
+    kept = std::move(it->second);
+  }
+  states_.clear();
+  tracked_bytes_ = 0;
+  if (kept == nullptr || kept->dirty ||
+      kept->completed_through < strata_.num_strata - 1) {
+    // No model, or an incomplete one (aborted run): dropping it is
+    // cheaper and simpler than repairing a partial fixpoint.
     return MaybeReplanForCardinality();
   }
-  if (base_state->dirty ||
-      base_state->completed_through < strata_.num_strata - 1) {
-    // Incomplete model (aborted run): dropping it is cheaper and simpler
-    // than repairing a partial fixpoint.
-    states_.Clear();
-    RecomputeTrackedBytes();
-    return MaybeReplanForCardinality();
-  }
-  // Start from an exact total (RetainOnly just dropped the children), so
-  // the commit-time delta below lands on the truth, not on drift.
+  State* base_state = kept.get();
+  states_.emplace(ContextInterner::kEmptyContext, std::move(kept));
   RecomputeTrackedBytes();
-  const int64_t bytes_before = StateBytes(*base_state);
-  WorkCtx work;
-  work.stats = &stats_;
-  Status status = RepairBaseModel(base_state, delta, &work);
+  Status status = RepairBaseModel(base_state, delta);
   if (!status.ok()) {
     // A half-repaired model must never be served: drop everything and
     // surface the error; the next query recomputes from scratch.
-    states_.Clear();
-    RecomputeTrackedBytes();
+    states_.clear();
+    tracked_bytes_ = 0;
     return status;
   }
-  // Commit the repair's byte effects exactly. The per-fact charges the
-  // repair accumulated in work.local_bytes are estimates; the exact
-  // figure is the state's own ApproxBytes, so the commit-time delta
-  // SUPERSEDES them (adding both would double-count). When the repair
-  // also materialized hypothetical child states, re-sum everything
-  // instead — the total must be exact either way, and governance_test
+  // The repair charged per-fact estimates (and any child states it
+  // materialized); re-sum, so the total is exact — governance_test
   // asserts it against an independent re-sum.
-  work.local_bytes = 0;
-  if (states_.size() == 1) {
-    tracked_bytes_.fetch_add(StateBytes(*base_state) - bytes_before,
-                             std::memory_order_relaxed);
-  } else {
-    RecomputeTrackedBytes();
-  }
+  RecomputeTrackedBytes();
   if (board_ != nullptr) {
     board_->PublishModel(ContextInterner::kEmptyContext, domain_fp_,
                          std::make_shared<Database>(base_state->ext.Clone()));
@@ -1243,8 +950,7 @@ Status BottomUpEngine::MaybeReplanForCardinality() {
 
 void BottomUpEngine::AttachMemoBoard(MemoBoard* board) { board_ = board; }
 
-Status BottomUpEngine::RepairBaseModel(State* state, const BaseDelta& delta,
-                                       WorkCtx* work) {
+Status BottomUpEngine::RepairBaseModel(State* state, const BaseDelta& delta) {
   Database ins(base_->symbols_ptr(), base_->backend());
   Database del(base_->symbols_ptr(), base_->backend());
   for (const Fact& f : delta.inserts) {
@@ -1265,13 +971,13 @@ Status BottomUpEngine::RepairBaseModel(State* state, const BaseDelta& delta,
   // netted delta starts them so.
   HYPO_DCHECK(Disjoint(ins, del));
   for (int s = 0; s < strata_.num_strata; ++s) {
-    HYPO_RETURN_IF_ERROR(RepairStratum(state, s, &ins, &del, work));
+    HYPO_RETURN_IF_ERROR(RepairStratum(state, s, &ins, &del));
   }
   return Status::OK();
 }
 
 Status BottomUpEngine::RepairStratum(State* state, int stratum, Database* ins,
-                                     Database* del, WorkCtx* work) {
+                                     Database* del) {
   const RuleBase& program = active();
   const bool any_delta = !ins->empty() || !del->empty();
   bool has_hypo = false;
@@ -1305,15 +1011,14 @@ Status BottomUpEngine::RepairStratum(State* state, int stratum, Database* ins,
   if (has_hypo && any_delta) {
     // A hypothetical premise consults a child model that changed
     // wholesale: outside DRed's reach — rebuild + diff.
-    return RepairStratumRecompute(state, stratum, ins, del, work);
+    return RepairStratumRecompute(state, stratum, ins, del);
   }
-  return RepairStratumIncremental(state, stratum, ins, del, work);
+  return RepairStratumIncremental(state, stratum, ins, del);
 }
 
 Status BottomUpEngine::RepairStratumIncremental(State* state, int stratum,
-                                                Database* ins, Database* del,
-                                                WorkCtx* work) {
-  ++work->stats->strata_repaired;
+                                                Database* ins, Database* del) {
+  ++stats_.strata_repaired;
   const RuleBase& program = active();
   const std::vector<int>& stratum_rules = strata_.rules_by_stratum[stratum];
 
@@ -1346,13 +1051,12 @@ Status BottomUpEngine::RepairStratumIncremental(State* state, int stratum,
                      const vm::Program& prog, const Database& delta) {
         EvalCtx ctx;
         ctx.state = state;
-        ctx.work = work;
         ctx.delta = &delta;
         ctx.vis_plus = plus;
         ctx.vis_minus = minus;
         auto emit = [&](const ConstId* regs) -> StatusOr<bool> {
-          ++work->stats->goals_expanded;
-          HYPO_RETURN_IF_ERROR(CheckLimits(work));
+          ++stats_.goals_expanded;
+          HYPO_RETURN_IF_ERROR(CheckLimits());
           return on_head(vm::GroundAtom(rule.head, regs));
         };
         return RunProgram(premises, prog, &ctx, emit).status();
@@ -1365,7 +1069,7 @@ Status BottomUpEngine::RepairStratumIncremental(State* state, int stratum,
             run(rule.premises, *rule_programs_[rule_index].For(i), round));
       }
       if (neg_round == nullptr || !rule.HasNegatedPremise()) continue;
-      for (const NegVersion& v : NegVersions(rule_index, work)) {
+      for (const NegVersion& v : NegVersions(rule_index)) {
         const PredicateId pred = rule.premises[v.premise].atom.predicate;
         if (neg_round->CountFor(pred) == 0) continue;
         HYPO_RETURN_IF_ERROR(run(v.premises, v.prog, *neg_round));
@@ -1404,7 +1108,7 @@ Status BottomUpEngine::RepairStratumIncremental(State* state, int stratum,
             // facts are not derived, and already-queued heads are done.
             if (!IsDerived(*state, h)) return true;
             if (!overdeleted.Insert(h)) return true;
-            ++work->stats->facts_overdeleted;
+            ++stats_.facts_overdeleted;
             if (pos_preds.count(h.predicate) > 0) next.Insert(h);
             return true;
           }));
@@ -1454,10 +1158,10 @@ Status BottomUpEngine::RepairStratumIncremental(State* state, int stratum,
   });
   for (const Fact& f : candidates) {
     HYPO_ASSIGN_OR_RETURN(bool derivable,
-                          HeadDerivable(f, stratum, state, work));
+                          HeadDerivable(f, stratum, state));
     if (!derivable) continue;
     InsertDerived(state, f);
-    ++work->stats->facts_rederived;
+    ++stats_.facts_rederived;
     reinserted.Insert(f);
     if (overdeleted.Contains(f)) {
       restored.Insert(f);
@@ -1491,7 +1195,7 @@ Status BottomUpEngine::RepairStratumIncremental(State* state, int stratum,
           [&](const Fact& h) -> StatusOr<bool> {
             if (Visible(*state, h)) return true;
             InsertDerived(state, h);
-            ++work->stats->facts_derived;
+            ++stats_.facts_derived;
             // Net bookkeeping: a fact visible before the epoch
             // (overdeleted above, or a retracted base fact) is merely
             // restored; everything else is a genuine insertion.
@@ -1518,7 +1222,7 @@ Status BottomUpEngine::RepairStratumIncremental(State* state, int stratum,
 }
 
 const std::vector<BottomUpEngine::NegVersion>& BottomUpEngine::NegVersions(
-    int rule_index, WorkCtx* work) {
+    int rule_index) {
   RuleProgs& progs = rule_programs_[rule_index];
   if (progs.negs_compiled) return progs.negs;
   progs.negs_compiled = true;
@@ -1575,7 +1279,7 @@ const std::vector<BottomUpEngine::NegVersion>& BottomUpEngine::NegVersions(
     in.num_vars = num_vars;
     in.delta_premise = 0;
     v.prog = vm::Compile(in);
-    ++work->stats->vm_programs_compiled;
+    ++stats_.vm_programs_compiled;
     // Its probes bind other columns than the rule's plan does; the next
     // seal of the base (a server epoch, a top-level fixpoint) indexes
     // them too.
@@ -1603,9 +1307,8 @@ void BottomUpEngine::AddProbeSignatures(const std::vector<Premise>& premises,
 }
 
 Status BottomUpEngine::RepairStratumRecompute(State* state, int stratum,
-                                              Database* ins, Database* del,
-                                              WorkCtx* work) {
-  ++work->stats->strata_recomputed;
+                                              Database* ins, Database* del) {
+  ++stats_.strata_recomputed;
   const RuleBase& program = active();
   std::unordered_set<PredicateId> head_preds;
   for (int r : strata_.rules_by_stratum[stratum]) {
@@ -1633,7 +1336,7 @@ Status BottomUpEngine::RepairStratumRecompute(State* state, int stratum,
     del->ClearRelation(p);
     state->ext.ClearRelation(p);
   }
-  HYPO_RETURN_IF_ERROR(ComputeStratumSequential(state, stratum, work));
+  HYPO_RETURN_IF_ERROR(ComputeStratum(state, stratum));
   for (PredicateId p : head_preds) {
     const auto& old_set = old_visible[p];
     std::unordered_set<Tuple, TupleHash> new_set;
@@ -1651,7 +1354,7 @@ Status BottomUpEngine::RepairStratumRecompute(State* state, int stratum,
 }
 
 StatusOr<bool> BottomUpEngine::HeadDerivable(const Fact& fact, int stratum,
-                                             State* state, WorkCtx* work) {
+                                             State* state) {
   const RuleBase& program = active();
   for (int rule_index : strata_.rules_by_stratum[stratum]) {
     const Rule& rule = program.rule(rule_index);
@@ -1667,11 +1370,10 @@ StatusOr<bool> BottomUpEngine::HeadDerivable(const Fact& fact, int stratum,
       in.num_vars = rule.num_vars();
       in.head = &rule.head;
       prog = vm::Compile(in);
-      ++work->stats->vm_programs_compiled;
+      ++stats_.vm_programs_compiled;
     }
     EvalCtx ctx;
     ctx.state = state;
-    ctx.work = work;
     bool found = false;
     auto emit = [&found](const ConstId*) -> StatusOr<bool> {
       found = true;
@@ -1711,39 +1413,32 @@ const EngineStats& BottomUpEngine::stats() const {
   // sorts live in the Databases themselves: the shared base, each
   // memoized state's model, and the per-round deltas already retired.
   CurrentIndexTotals().ReportSince(index_base_, &stats_);
-  stats_.index_builds +=
-      retired_index_builds_.load(std::memory_order_relaxed);
+  stats_.index_builds += retired_index_builds_;
   stats_.memo_bytes = interner_.ApproxBytes() + ctx_interner_.ApproxBytes();
   stats_.arena_bytes = base_->ArenaBytes();
-  states_.ForEach([this](const State& state) {
-    stats_.arena_bytes += state.ext.ArenaBytes();
-    stats_.memo_bytes += StateBytes(state);
-  });
+  for (const auto& [key, state] : states_) {
+    stats_.arena_bytes += state->ext.ArenaBytes();
+    stats_.memo_bytes += StateBytes(*state);
+  }
   stats_.demanded_predicates =
       demand_profile_ != nullptr ? demand_profile_->num_demanded() : 0;
   // Non-empty hypothetical contexts interned as state-cache keys (the
   // ever-present empty context is the base state, not a hypothesis).
   stats_.contexts_interned = ctx_interner_.num_contexts() - 1;
-  if (pool_ != nullptr) {
-    stats_.tasks_stolen = pool_->tasks_stolen();
-    stats_.peak_workers =
-        std::max<int64_t>(stats_.peak_workers, pool_->peak_active());
-  }
   return stats_;
 }
 
 IndexTotals BottomUpEngine::CurrentIndexTotals() const {
   IndexTotals totals;
   totals.Add(*base_);
-  states_.ForEach([&totals](const State& state) { totals.Add(state.ext); });
+  for (const auto& [key, state] : states_) totals.Add(state->ext);
   return totals;
 }
 
 void BottomUpEngine::ResetStats() {
   stats_ = EngineStats();
-  retired_index_builds_.store(0, std::memory_order_relaxed);
+  retired_index_builds_ = 0;
   index_base_ = CurrentIndexTotals();
-  if (pool_ != nullptr) pool_->ResetCounters();
 }
 
 StatusOr<bool> BottomUpEngine::ProveFact(const Fact& fact) {
@@ -1754,10 +1449,7 @@ StatusOr<bool> BottomUpEngine::ProveFact(const Fact& fact) {
   std::vector<Fact> seeds;
   int through = 0;
   HYPO_RETURN_IF_ERROR(PrepareFactDemand(fact, &seeds, &through));
-  WorkCtx work;
-  work.stats = &stats_;
-  HYPO_ASSIGN_OR_RETURN(State * top,
-                        MaterializeState({}, through, seeds, &work));
+  HYPO_ASSIGN_OR_RETURN(State * top, MaterializeBase(through, seeds));
   return Visible(*top, fact);
 }
 
@@ -1771,10 +1463,7 @@ Status BottomUpEngine::RunQuery(const Query& query,
   std::vector<Fact> seeds;
   int through = 0;
   HYPO_RETURN_IF_ERROR(PrepareQueryDemand(query, &seeds, &through));
-  WorkCtx work;
-  work.stats = &stats_;
-  HYPO_ASSIGN_OR_RETURN(State * top,
-                        MaterializeState({}, through, seeds, &work));
+  HYPO_ASSIGN_OR_RETURN(State * top, MaterializeBase(through, seeds));
   Atom head = PseudoHead(query);
   BodyPlan plan =
       BodyPlan::Build(query.premises, &head, query.num_vars(), base_);
@@ -1786,7 +1475,6 @@ Status BottomUpEngine::RunQuery(const Query& query,
   ++stats_.vm_programs_compiled;
   EvalCtx ctx;
   ctx.state = top;
-  ctx.work = &work;
   std::unordered_set<Tuple, TupleHash> seen;
   // The pseudo-head enumerates every query variable, so all registers are
   // bound at emit and the register file IS the answer tuple.
@@ -1797,10 +1485,7 @@ Status BottomUpEngine::RunQuery(const Query& query,
     if (seen.insert(t).second) answers->push_back(std::move(t));
     return true;
   };
-  HYPO_RETURN_IF_ERROR(RunProgram(query.premises, prog, &ctx, emit).status());
-  // The bytes the query's states added since the last metering flush.
-  tracked_bytes_.fetch_add(work.local_bytes, std::memory_order_relaxed);
-  return Status::OK();
+  return RunProgram(query.premises, prog, &ctx, emit).status();
 }
 
 StatusOr<bool> BottomUpEngine::ProveQuery(const Query& query) {
@@ -1829,9 +1514,7 @@ StatusOr<std::vector<Tuple>> BottomUpEngine::FactsFor(PredicateId pred) {
     HYPO_RETURN_IF_ERROR(RefreshDemandProgram(widened));
     through = StratumCap(pred);
   }
-  WorkCtx work;
-  work.stats = &stats_;
-  HYPO_ASSIGN_OR_RETURN(State * top, MaterializeState({}, through, {}, &work));
+  HYPO_ASSIGN_OR_RETURN(State * top, MaterializeBase(through, {}));
   std::vector<Tuple> out;
   const Database::RowsView base_rows = base_->TuplesFor(pred);
   const Database::RowsView ext_rows = top->ext.TuplesFor(pred);

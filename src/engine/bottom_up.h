@@ -1,23 +1,20 @@
 #ifndef HYPO_ENGINE_BOTTOM_UP_H_
 #define HYPO_ENGINE_BOTTOM_UP_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "analysis/demand_transform.h"
 #include "analysis/stratification.h"
-#include "base/thread_pool.h"
 #include "db/context_interner.h"
 #include "db/fact_interner.h"
 #include "engine/binding.h"
 #include "engine/engine.h"
 #include "engine/plan.h"
-#include "engine/state_cache.h"
 #include "engine/vm/bytecode.h"
 #include "engine/vm/executor.h"
 
@@ -49,18 +46,8 @@ namespace hypo {
 /// of true facts, so re-running the strata under a wider profile only adds
 /// facts — see DESIGN.md for why answers are unchanged).
 ///
-/// With `EngineOptions::num_threads >= 2` the top-level state's fixpoint
-/// runs *parallel rounds* (see DESIGN.md "Parallel evaluation"): each
-/// round's rule versions are partitioned into hash shards of a designated
-/// premise's tuples, evaluated against frozen (sealed) relations on a
-/// work-stealing pool with per-worker insertion buffers, and merged
-/// deterministically (sorted by predicate, then tuple) at the round
-/// barrier. Hypothetical child states encountered by concurrent workers
-/// are materialized through a sharded, mutex-striped state cache keyed by
-/// interned ContextIds, so independent hypothetical branches proceed in
-/// parallel while duplicate requests for the same state wait instead of
-/// recomputing. Answers and models are identical at every thread count;
-/// only scheduling-dependent machinery counters (rounds, probes) differ.
+/// One thread at a time uses the engine, and it starts no thread of its
+/// own (DESIGN.md "Concurrency").
 ///
 /// This engine makes no linearity assumption — it accepts every rulebase
 /// the paper's inference system defines (Definition 3 + stratified NAF).
@@ -85,12 +72,12 @@ class BottomUpEngine : public Engine {
   std::string name() const override { return "bottom-up"; }
 
   /// Number of distinct database states currently memoized.
-  int64_t num_states() const { return states_.size(); }
+  int64_t num_states() const { return static_cast<int64_t>(states_.size()); }
 
   /// The governance fields (timeout_micros, max_memory_bytes, cancel) may
   /// be changed between queries — e.g. to retry a tripped query with a
   /// larger budget on the same warm engine. Changing the evaluation
-  /// fields (demand, threads) after Init() is undefined.
+  /// field (demand) after Init() is undefined.
   EngineOptions* mutable_options() override { return &options_; }
 
   /// Incremental repair of the memoized base-state model after the caller
@@ -124,12 +111,10 @@ class BottomUpEngine : public Engine {
   /// Test hooks (governance_test): the incrementally tracked model-byte
   /// total and an exact re-sum over the live states. ApplyBaseDelta must
   /// leave these equal (satellite byte-accounting exactness).
-  int64_t TrackedBytesForTest() const {
-    return tracked_bytes_.load(std::memory_order_relaxed);
-  }
+  int64_t TrackedBytesForTest() const { return tracked_bytes_; }
   int64_t ExactTrackedBytesForTest() const {
     int64_t bytes = 0;
-    states_.ForEach([&bytes](const State& s) { bytes += StateBytes(s); });
+    for (const auto& [key, state] : states_) bytes += StateBytes(*state);
     return bytes;
   }
 
@@ -153,9 +138,6 @@ class BottomUpEngine : public Engine {
     /// aborted ComputeModel is incomplete and must be recomputed on the
     /// next touch, not served from the memo (abort recovery).
     bool dirty = false;
-    /// ShardedStateCache's in-flight flag: true while some thread runs
-    /// the compute step for this state outside the shard lock.
-    bool computing = false;
     /// Children derived from the base model (DeriveChild): the complete
     /// base state, read as an immutable lower layer of this model, and
     /// `hidden`, the lower layer's derived facts that are false here.
@@ -166,49 +148,6 @@ class BottomUpEngine : public Engine {
 
     State(std::shared_ptr<SymbolTable> symbols, StorageBackend backend)
         : ext(symbols, backend), hidden(std::move(symbols), backend) {}
-  };
-
-  /// Shared abort-and-metering state for one parallel fixpoint region.
-  /// Workers accumulate counters in private EngineStats and publish the
-  /// deltas here at metering checks, so max_steps is enforced against the
-  /// *global* totals and one worker's ResourceExhausted short-circuits
-  /// every in-flight task at its next check (cooperative abort).
-  struct ParallelMeter {
-    std::atomic<int64_t> goals{0};
-    std::atomic<int64_t> enums{0};
-    std::atomic<bool> abort{false};
-    std::mutex mu;
-    Status first_error = Status::OK();
-
-    /// Records the first error and raises the abort flag.
-    void Record(const Status& s) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (first_error.ok()) first_error = s;
-      abort.store(true, std::memory_order_release);
-    }
-    Status FirstError() {
-      std::lock_guard<std::mutex> lock(mu);
-      return first_error;
-    }
-  };
-
-  /// Per-evaluation-thread accumulator: all hot-path counters go to
-  /// `stats` (the engine's own stats_ on the sequential path, a private
-  /// per-task struct on workers, merged at the round barrier so counts
-  /// are exact), and `meter` (parallel regions only) carries the shared
-  /// abort flag plus published counter snapshots for limit enforcement.
-  struct WorkCtx {
-    EngineStats* stats = nullptr;
-    ParallelMeter* meter = nullptr;
-    int64_t published_goals = 0;
-    int64_t published_enums = 0;
-    /// Unflushed local delta of tracked_bytes_: bytes this thread has
-    /// added to memoized models since its last flush (see CheckLimits).
-    int64_t local_bytes = 0;
-    /// Reusable VM register/scan frames. Per-thread by construction,
-    /// depth-indexed so hypothetical sub-fixpoints that re-enter
-    /// RunProgram on this thread get their own frame.
-    vm::FrameStack vm_frames;
   };
 
   /// A rule version that designates a NEGATED premise `~q(t̄)` over a
@@ -263,14 +202,11 @@ class BottomUpEngine : public Engine {
   };
 
   /// Per-round evaluation context of one program run: the state under
-  /// construction, the optional delta designation, the calling
-  /// thread's work accumulator, and (parallel rounds) the private
-  /// insertion buffer plus the shard filter.
+  /// construction and the optional delta designation.
   struct EvalCtx {
     State* state = nullptr;
     int delta_premise = -1;          // Designated premise index, or -1.
     const Database* delta = nullptr; // Last round's newly derived tuples.
-    WorkCtx* work = nullptr;
     /// DRed overdeletion evaluates non-designated premises, negated ones
     /// included, against the PRE-epoch model: facts deleted so far this
     /// epoch count as visible again (`vis_plus`; physically gone, or
@@ -280,15 +216,6 @@ class BottomUpEngine : public Engine {
     /// predictable branch per candidate.
     const Database* vis_plus = nullptr;
     const Database* vis_minus = nullptr;
-    /// Parallel rounds: derived heads go here (deduped per task) instead
-    /// of into state->ext, which is sealed; merged at the barrier.
-    Database* buffer = nullptr;
-    /// Shard filter: instantiations whose `shard_premise` tuple does not
-    /// hash to `shard` (mod num_shards) are skipped — each instantiation
-    /// fires in exactly one shard. -1 / 1 disables filtering.
-    int shard_premise = -1;
-    int shard = 0;
-    int num_shards = 1;
   };
 
   /// The program the fixpoint actually evaluates: the magic-set rewrite
@@ -388,42 +315,26 @@ class BottomUpEngine : public Engine {
   /// the last stratum.
   int StratumCap(PredicateId pred) const;
 
-  /// The cache key of `key` (a sorted added-fact id set): its interned
-  /// ContextId. Takes intern_mu_.
-  int64_t InternStateKey(const StateKey& key);
-
   /// Ensures the state for `ckey`/`key` exists with `seeds` inserted into
   /// its magic relations and its model computed through stratum `through`
-  /// (both monotone), then runs `read` on it under the owning cache-shard
-  /// lock. All concurrent access to a memoized state funnels through
-  /// here: the shard lock covers creation, the needs-run decision, seed
-  /// insertion, and the caller's read, while the expensive model
-  /// computation runs outside it with the state marked in-flight
-  /// (duplicate requests wait; independent states proceed in parallel).
-  /// Template (instantiated only in bottom_up.cc) so the per-call read
-  /// closure needs no std::function erasure on the hypothetical hot path.
+  /// (both monotone), and returns it. States are heap nodes, so a child
+  /// inserted while its parent computes never moves the parent.
   ///
   /// A non-null `lower` (the complete base state) derives a new child
   /// from it with DeriveChild instead of computing it from empty.
-  template <typename Read>
-  Status EnsureState(int64_t ckey, const StateKey& key, int through,
-                     const std::vector<Fact>& seeds, WorkCtx* work,
-                     bool allow_parallel, const State* lower,
-                     const Read& read);
+  /// `may_seal_base` is set only by a top-level region (see ComputeModel).
+  StatusOr<State*> EnsureState(int64_t ckey, const StateKey& key,
+                               int through, const std::vector<Fact>& seeds,
+                               bool may_seal_base, const State* lower);
 
-  /// Main-thread entry: EnsureState + return the raw State*. Only safe
-  /// outside parallel regions (top-level query evaluation), where no
-  /// worker can be mutating the state behind the pointer.
-  StatusOr<State*> MaterializeState(const StateKey& key, int through,
-                                    const std::vector<Fact>& seeds,
-                                    WorkCtx* work);
+  /// The base state a public entry evaluates on, computed through
+  /// `through` with `seeds`.
+  StatusOr<State*> MaterializeBase(int through,
+                                   const std::vector<Fact>& seeds);
 
   /// Computes (or re-extends) `state`'s model through stratum `through`.
-  /// With `allow_parallel` and a pool, each stratum runs parallel rounds;
-  /// child states reached during any round are always computed
-  /// sequentially on whichever worker gets there first.
-  Status ComputeModel(State* state, int through, WorkCtx* work,
-                      bool allow_parallel);
+  /// With `may_seal_base`, an unsealed base is sealed for the run.
+  Status ComputeModel(State* state, int through, bool may_seal_base);
 
   /// Builds `child`'s model (its ext holding just its added facts) as
   /// the base model `lower` repaired by the additions: the insertion half
@@ -431,22 +342,19 @@ class BottomUpEngine : public Engine {
   /// additions cause, over `lower` as a read-only layer. Only for
   /// programs whose repair never recomputes a stratum (no hypothetical
   /// premises); see DESIGN.md §5.
-  Status DeriveChild(State* child, const State* lower, WorkCtx* work);
+  Status DeriveChild(State* child, const State* lower);
 
   /// Restores a state a failed run left half-built to its added facts
   /// alone, dropping any lower layer.
-  void ResetToAdditions(State* state, WorkCtx* work);
+  void ResetToAdditions(State* state);
 
   /// Inserts `state`'s added facts into its ext, where every model
   /// starts.
   void StoreAdditions(State* state);
 
-  /// One stratum of ComputeModel as parallel rounds (see class comment).
-  Status ComputeStratumParallel(State* state, int stratum, WorkCtx* work);
-
-  /// One stratum of ComputeModel as sequential rounds; also the rebuild
+  /// One stratum of ComputeModel as semi-naive rounds; also the rebuild
   /// step of ApplyBaseDelta's recompute-and-diff fallback.
-  Status ComputeStratumSequential(State* state, int stratum, WorkCtx* work);
+  Status ComputeStratum(State* state, int stratum);
 
   /// One rule version of a semi-naive round: the rule with premise
   /// `delta_premise` ranging over last round's new tuples only, or (-1)
@@ -456,11 +364,11 @@ class BottomUpEngine : public Engine {
     int delta_premise;
   };
 
-  /// The versions one round of `stratum`'s fixpoint evaluates, for the
-  /// sequential and the parallel rounds alike: every rule in full in the
-  /// first round; afterwards one version per positive premise whose
-  /// predicate changed last round, or the full rule when one of its
-  /// hypothetical premises watches a changed same-stratum predicate.
+  /// The versions one round of `stratum`'s fixpoint evaluates: every
+  /// rule in full in the first round; afterwards one version per positive
+  /// premise whose predicate changed last round, or the full rule when one
+  /// of its hypothetical premises watches a changed same-stratum
+  /// predicate.
   std::vector<RuleVersion> RoundVersions(
       int stratum, const std::unordered_set<PredicateId>& changed_last,
       bool first_round) const;
@@ -477,30 +385,30 @@ class BottomUpEngine : public Engine {
   /// Repairs the base state's model stratum by stratum against `delta`.
   /// On error the model is only partially repaired; the caller must drop
   /// it (ApplyBaseDelta does).
-  Status RepairBaseModel(State* state, const BaseDelta& delta, WorkCtx* work);
+  Status RepairBaseModel(State* state, const BaseDelta& delta);
 
   /// Repairs one stratum: skip (irrelevant), delta rounds (insertions
   /// and/or DRed), or recompute-and-diff, extending ins/del in place.
   Status RepairStratum(State* state, int stratum, Database* ins,
-                       Database* del, WorkCtx* work);
+                       Database* del);
 
   /// The delta-round path: DRed overdeletion + physical removal +
   /// rederivation, then insertion semi-naive rounds. Net insertions into
   /// a negated relation overdelete and net deletions from it seed the
   /// insertion rounds, through the rules' NegVersions.
   Status RepairStratumIncremental(State* state, int stratum, Database* ins,
-                                  Database* del, WorkCtx* work);
+                                  Database* del);
 
   /// The fallback path: snapshot the stratum's pre-repair visible head
   /// relations, clear and recompute them from scratch, and diff old vs
   /// new into ins/del. Used only when the delta reaches a hypothetical
   /// premise (its child models change wholesale).
   Status RepairStratumRecompute(State* state, int stratum, Database* ins,
-                                Database* del, WorkCtx* work);
+                                Database* del);
 
   /// The NegVersions of `rule_index`, one per negated premise, compiled
   /// on first use.
-  const std::vector<NegVersion>& NegVersions(int rule_index, WorkCtx* work);
+  const std::vector<NegVersion>& NegVersions(int rule_index);
 
   /// Adds the base probe signatures of `plan`'s steps over `premises` to
   /// static_sigs_, deduplicated.
@@ -510,8 +418,7 @@ class BottomUpEngine : public Engine {
   /// True iff some rule of `stratum` derives `fact` in the CURRENT model
   /// (DRed's rederivation test, run after overdeleted facts are removed),
   /// by each rule's head-bound program.
-  StatusOr<bool> HeadDerivable(const Fact& fact, int stratum, State* state,
-                               WorkCtx* work);
+  StatusOr<bool> HeadDerivable(const Fact& fact, int stratum, State* state);
 
   /// The VM's host: storage segments, premise tests and metering. A
   /// nested class (rather than a function-local one) because it needs a
@@ -534,9 +441,7 @@ class BottomUpEngine : public Engine {
   /// Evaluates one rule version over `ctx->state`, inserting derived
   /// heads into the model; predicates that gained tuples go to `changed`
   /// (a set: one entry per predicate per round, not per fact), and the
-  /// new facts themselves to `next_delta` when delta tracking is on.
-  /// With ctx->buffer set (parallel rounds) derived heads go to the
-  /// buffer instead and both out-params must be null.
+  /// new facts themselves to `next_delta`.
   Status EvaluateRule(int rule_index, EvalCtx* ctx, Database* next_delta,
                       std::unordered_set<PredicateId>* changed);
 
@@ -547,15 +452,14 @@ class BottomUpEngine : public Engine {
 
   /// Tests a fully ground hypothetical premise against `state`.
   StatusOr<bool> TestHypothetical(State* state, const Fact& query,
-                                  const std::vector<Fact>& additions,
-                                  WorkCtx* work);
+                                  const std::vector<Fact>& additions);
 
   /// True iff some extension of `binding` matches `atom` in `ctx.state`;
   /// probes the generalized access paths on all bound columns. With
   /// `ctx`'s vis_plus/vis_minus set, reads the pre-epoch model instead.
   bool ExistsMatch(const Atom& atom, Binding* binding, const EvalCtx& ctx);
 
-  Status CheckLimits(WorkCtx* work);
+  Status CheckLimits();
 
   /// Approximate bytes attributable to one memoized state: model contents
   /// (ext.ApproxBytes()) plus struct/key/id-set overhead. The unit both
@@ -563,22 +467,21 @@ class BottomUpEngine : public Engine {
   static int64_t StateBytes(const State& s);
 
   /// Total approximate engine memory for the QueryGuard budget: tracked
-  /// state bytes (plus this thread's unflushed delta) and both interners.
-  /// O(1), safe at metering frequency from any evaluation thread.
-  int64_t MemoryBytes(const WorkCtx* work) const;
+  /// state bytes and both interners. O(1), read at metering frequency.
+  int64_t MemoryBytes() const;
 
   /// Re-sums tracked_bytes_ exactly over the live states. Called when a
-  /// memory budget arms, so budgeted queries start from truth instead of
-  /// inheriting drift left by earlier error paths or abandoned buffers.
+  /// memory budget arms and after a base repair, so the total starts from
+  /// truth instead of per-fact estimates or drift left by error paths.
   void RecomputeTrackedBytes();
 
   /// Counts one domain-grounding iteration and enforces max_steps on
   /// enumeration-heavy plans (checked every 256 iterations so purely
   /// extensional domain^n loops cannot run away unmetered). Inline: the
   /// fast path must cost one increment and one predictable branch.
-  Status CountEnumeration(WorkCtx* work) {
-    if ((++work->stats->enumerations & 255) != 0) return Status::OK();
-    return CheckLimits(work);
+  Status CountEnumeration() {
+    if ((++stats_.enumerations & 255) != 0) return Status::OK();
+    return CheckLimits();
   }
 
   const RuleBase* rulebase_;
@@ -605,9 +508,9 @@ class BottomUpEngine : public Engine {
   std::vector<std::pair<PredicateId, int64_t>> planned_counts_;
   /// Every (predicate, probe-mask) signature any plan step of the active
   /// program can probe at runtime, deduplicated: the rules' plans, and
-  /// each NegVersion's plan once compiled. The parallel fixpoint
-  /// PrepareIndex()es all of them before sealing a database, so sealed
-  /// probes always find an up-to-date index.
+  /// each NegVersion's plan once compiled. A top-level region (and the
+  /// server, through BaseProbeSignatures) PrepareIndex()es all of them
+  /// before sealing the base, so sealed probes find an up-to-date index.
   std::vector<std::pair<PredicateId, ColumnMask>> static_sigs_;
   std::vector<ConstId> domain_;
   std::unordered_set<ConstId> domain_set_;
@@ -620,42 +523,35 @@ class BottomUpEngine : public Engine {
   std::unique_ptr<DemandProgram> demand_program_;
   int demand_version_ = 0;
 
-  /// Guards interner_ and ctx_interner_ (the only tables workers mutate
-  /// outside the state cache). Never held while acquiring a cache-shard
-  /// lock, so the shard-then-intern lock order is acyclic.
-  std::mutex intern_mu_;
   FactInterner interner_;
   ContextInterner ctx_interner_;
 
-  ShardedStateCache<State> states_;
+  /// The memoized states, keyed by the interned ContextId of their added
+  /// facts (ContextInterner::kEmptyContext is the base state).
+  std::unordered_map<int64_t, std::unique_ptr<State>> states_;
 
   /// Persistent cross-query cache (optional; see AttachMemoBoard). Only
   /// the base state's whole model is shared — hypothetical child states
-  /// stay engine-local (their keys are local fact ids, and workers touch
-  /// them concurrently). domain_fp_ keys published models so engines
-  /// whose domains diverged (extra query constants) never cross-adopt.
+  /// stay engine-local (their keys are local fact ids). domain_fp_ keys
+  /// published models so engines whose domains diverged (extra query
+  /// constants) never cross-adopt.
   MemoBoard* board_ = nullptr;
   uint64_t domain_fp_ = 0;
 
   QueryGuard guard_;
   /// Approximate bytes held by all memoized states' models (contents plus
-  /// per-state overhead), maintained incrementally: evaluation threads
-  /// accumulate into WorkCtx::local_bytes and flush here at metering
-  /// checks. Atomic because workers flush while others read it through
-  /// the guard's memory check. Per-round delta/buffer databases are
-  /// transient and deliberately uncounted.
-  std::atomic<int64_t> tracked_bytes_{0};
+  /// per-state overhead), charged as states grow. Per-round delta
+  /// databases are transient and deliberately uncounted.
+  int64_t tracked_bytes_ = 0;
 
-  /// The work-stealing pool behind parallel rounds: num_threads - 1
-  /// workers (the calling thread participates). Null when num_threads
-  /// <= 1 — that path never touches any parallel machinery.
-  std::unique_ptr<ThreadPool> pool_;
+  /// Reusable VM register/scan frames, depth-indexed so hypothetical
+  /// sub-fixpoints that re-enter RunProgram get their own frame.
+  vm::FrameStack vm_frames_;
 
   mutable EngineStats stats_;
   /// Index builds on per-round delta relations already destroyed;
-  /// stats() adds the live databases' growth on top. Atomic: child-state
-  /// computations on workers retire their own deltas concurrently.
-  std::atomic<int64_t> retired_index_builds_{0};
+  /// stats() adds the live databases' growth on top.
+  int64_t retired_index_builds_ = 0;
   /// Index totals of the base and the memoized states' models; stats()
   /// reports their growth since ResetStats().
   IndexTotals CurrentIndexTotals() const;

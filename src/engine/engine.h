@@ -41,21 +41,12 @@ struct EngineOptions {
   /// demand-driven by construction.
   bool demand = false;
 
-  /// Worker threads for the BottomUpEngine's parallel fixpoint (see
-  /// DESIGN.md "Parallel evaluation"). 1 (the default) runs the exact
-  /// sequential code path; N >= 2 partitions each round's work across a
-  /// work-stealing pool of N-1 workers plus the calling thread, and
-  /// materializes independent hypothetical child states concurrently.
-  /// Answers and models are identical at every thread count. Ignored by
-  /// the top-down engines.
-  int num_threads = 1;
-
   // Resource governance (DESIGN.md "Resource governance & failure
   // semantics"). Each limit applies per top-level query; 0 / null means
   // "no limit" and costs nothing on the metering path.
 
   /// Wall-clock budget in microseconds for one top-level query. Enforced
-  /// at the same metering points as max_steps; a trip aborts all workers
+  /// at the same metering points as max_steps; a trip aborts the query
   /// and returns StatusCode::kDeadlineExceeded.
   int64_t timeout_micros = 0;
 
@@ -124,12 +115,6 @@ struct EngineStats {
   int64_t context_cache_hits = 0;    // Transitions answered from cache.
   int64_t memo_bytes = 0;            // Approx. bytes held by memo tables.
 
-  // Parallel fixpoint (BottomUpEngine with num_threads >= 2).
-  int64_t tasks_stolen = 0;       // Pool tasks run off their home deque.
-  int64_t parallel_rounds = 0;    // Fixpoint rounds evaluated sharded.
-  int64_t barrier_micros = 0;     // Wall time in round-barrier merges.
-  int64_t peak_workers = 0;       // Max tasks observed in flight at once.
-
   // Persistent cross-query cache (engine/memo_board.h).
   int64_t cache_hits_cross_query = 0;  // Goals/models answered by the board.
   int64_t contexts_reused = 0;    // Board contexts re-hit across queries.
@@ -157,10 +142,10 @@ struct EngineStats {
   // stratum_micros[i] is the cumulative wall time building Δ_{i+1} models.
   std::vector<int64_t> stratum_micros;
 
-  /// Adds `other`'s counters into this one. Max-like fields (max_goal_depth,
-  /// peak_workers) take the max; stratum_micros merges element-wise. Used to
-  /// combine per-worker accumulators at round barriers so counts stay exact
-  /// under parallel evaluation.
+  /// Adds `other`'s counters into this one. Max-like fields
+  /// (max_goal_depth, arena_bytes, budget_bytes_peak) take the max;
+  /// stratum_micros merges element-wise. The server sums the engines'
+  /// repair counters of an epoch with it.
   void Merge(const EngineStats& other) {
     states_evaluated += other.states_evaluated;
     states_derived += other.states_derived;
@@ -193,16 +178,11 @@ struct EngineStats {
     facts_rederived += other.facts_rederived;
     strata_repaired += other.strata_repaired;
     strata_recomputed += other.strata_recomputed;
-    tasks_stolen += other.tasks_stolen;
-    parallel_rounds += other.parallel_rounds;
-    barrier_micros += other.barrier_micros;
-    peak_workers = std::max(peak_workers, other.peak_workers);
     vm_programs_compiled += other.vm_programs_compiled;
     vm_ops_executed += other.vm_ops_executed;
     guard_checks += other.guard_checks;
-    // Completion gauge, written only by the arming thread after every
-    // barrier: a non-zero incoming value is authoritative, 0 means "not
-    // set" (workers never write it).
+    // Completion gauge: a non-zero incoming value is authoritative, 0
+    // means "not set".
     if (other.deadline_micros_remaining != 0) {
       deadline_micros_remaining = other.deadline_micros_remaining;
     }
@@ -273,14 +253,15 @@ class GuardScope {
   bool owner_;
 };
 
-/// Common interface of the two evaluation procedures.
+/// Common interface of the three evaluation procedures (TabledEngine,
+/// StratifiedProver, BottomUpEngine).
 ///
 /// An Engine is constructed over one (rulebase, database) pair; Init()
 /// performs the static analysis (stratification, plans, domain) and must
 /// be called before any query. Both referenced objects must outlive the
-/// engine. The external interface is single-threaded — one query at a
-/// time — but the BottomUpEngine may fan work out to an internal pool
-/// when EngineOptions::num_threads >= 2.
+/// engine. One thread at a time uses an engine — one query at a time —
+/// and no engine starts a thread; the server runs queries in parallel on
+/// a pool of engines (DESIGN.md "Concurrency").
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -307,7 +288,7 @@ class Engine {
   /// The governance fields (timeout_micros, max_memory_bytes, cancel) may
   /// be changed between queries — e.g. to retry a tripped query with a
   /// larger budget on the same warm engine. Changing the evaluation
-  /// fields (demand, threads) after Init() is undefined.
+  /// field (demand) after Init() is undefined.
   virtual EngineOptions* mutable_options() = 0;
 
   /// Notifies the engine that the caller has mutated the base Database

@@ -35,8 +35,8 @@ struct PlanStep {
   /// or a variable bound by an earlier step. Matches BoundSignature's
   /// runtime computation exactly (including the repeated-unbound-variable
   /// case, since both computations look at the binding *before* this
-  /// premise matches). The parallel fixpoint uses it to PrepareIndex every
-  /// probe signature ahead of sealing.
+  /// premise matches). The engines PrepareIndex every probe signature
+  /// with it ahead of sealing the base.
   ColumnMask probe_mask = 0;
 };
 

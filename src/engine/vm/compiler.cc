@@ -181,7 +181,7 @@ Program Compile(const CompileInput& in) {
               BuildScanActions(atom, bound, &op);
           // With no entry bindings, static boundness mirrors the plan's
           // own bookkeeping, so the masks must agree (plan_test invariant
-          // the parallel fixpoint's PrepareIndex already relies on).
+          // the base seal's PrepareIndex relies on).
           if (in.head == nullptr && in.entry_bound.empty() &&
               in.delta_premise < 0) {
             HYPO_DCHECK(mask == step.probe_mask)

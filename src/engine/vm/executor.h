@@ -87,8 +87,8 @@ struct OpState {
 /// stack keyed by nesting depth keeps each vector's capacity warm across
 /// calls while nested runs (hypothetical sub-fixpoints, tabled subproofs
 /// re-entering on the same thread) still get a frame of their own. Not
-/// thread-safe: stacks live in per-worker contexts or in engines that
-/// serve one query at a time.
+/// thread-safe: stacks live in engines, which serve one query at a
+/// time.
 class FrameStack {
  public:
   struct Frame {

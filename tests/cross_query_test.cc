@@ -14,8 +14,8 @@
 //     model adoption for the bottom-up engine), bit-identically;
 //   * epoch-bump interleaving: after a base mutation, the first repaired
 //     engine republishes and a sibling adopts instead of repairing;
-//   * differential: board on vs board off (and restricted vs not, and
-//     threads 1 vs 8) derive identical fact sets on random programs;
+//   * differential: board on vs board off (and restricted vs not) derive
+//     identical fact sets on random programs;
 //   * server: the new counters surface through QueryServer/stats and the
 //     cache-off escape hatch changes no answers.
 
@@ -68,7 +68,6 @@ std::unique_ptr<Engine> MakeEngine(const std::string& kind,
   if (kind == "stratified") {
     return std::make_unique<StratifiedProver>(rules, db, options);
   }
-  if (kind == "bottomup-t8") options.num_threads = 8;
   return std::make_unique<BottomUpEngine>(rules, db, options);
 }
 
@@ -396,7 +395,7 @@ TEST_F(CrossQueryTest, EpochBumpRepairRepublishAdoptInterleaving) {
 // ---------------------------------------------------------------------------
 // Differential: the board must never change an answer.
 
-TEST(CrossQueryDifferential, BoardOnOffBitIdenticalAcrossEnginesAndThreads) {
+TEST(CrossQueryDifferential, BoardOnOffBitIdenticalAcrossEngines) {
   RandomProgramOptions options;
   int tested = 0;
   for (uint64_t seed = 500; seed < 508; ++seed) {
@@ -429,8 +428,7 @@ TEST(CrossQueryDifferential, BoardOnOffBitIdenticalAcrossEnginesAndThreads) {
           fixture.rules.DeclareAssumable(p);
         }
       }
-      for (const char* kind :
-           {"tabled", "stratified", "bottomup", "bottomup-t8"}) {
+      for (const char* kind : {"tabled", "stratified", "bottomup"}) {
         if (std::string(kind) == "stratified" && !stratifiable) continue;
         MemoBoard board;
         board.BeginEpoch(1);

@@ -328,15 +328,8 @@ TEST(DifferentialTest, IncrementalDeltaMatchesRebuildAcrossInterleavings) {
   // The server contract: after any interleaving of base-fact inserts and
   // retracts, an engine maintained through ApplyBaseDelta must answer
   // exactly like a from-scratch engine over the mutated database. Runs
-  // every engine family, the bottom-up one at 1 and 8 threads (the
-  // incremental repair itself is sequential; the threads exercise the
-  // repaired model being re-served by the parallel fixpoint).
-  struct Config {
-    const char* name;
-    int threads;
-  };
-  const Config kConfigs[] = {
-      {"tabled", 1}, {"stratified", 1}, {"bottomup", 1}, {"bottomup", 8}};
+  // every engine family.
+  const char* const kConfigs[] = {"tabled", "stratified", "bottomup"};
 
   RandomProgramOptions options;
   options.num_rules = 5;
@@ -359,11 +352,11 @@ TEST(DifferentialTest, IncrementalDeltaMatchesRebuildAcrossInterleavings) {
   // without hypothetical premises: DRed must repair them, never
   // recompute.
   int negated_repairs = 0;
-  for (const Config& config : kConfigs) {
-    for (uint64_t seed = 500; seed < 520; ++seed) {
+  for (const std::string config : kConfigs) {
+    for (uint64_t seed = 500; seed < 540; ++seed) {
       Random rng(seed);
       ProgramFixture fixture = MakeRandomProgram(options, &rng);
-      if (std::string(config.name) == "stratified" &&
+      if (config == "stratified" &&
           !CheckLinearlyStratifiable(fixture.rules).ok()) {
         continue;
       }
@@ -371,10 +364,9 @@ TEST(DifferentialTest, IncrementalDeltaMatchesRebuildAcrossInterleavings) {
       EngineOptions engine_options;
       engine_options.max_states = 40'000;
       engine_options.max_steps = 3'000'000;
-      engine_options.num_threads = config.threads;
 
       std::unique_ptr<Engine> live =
-          make_engine(config.name, fixture, engine_options);
+          make_engine(config, fixture, engine_options);
       ASSERT_TRUE(live->Init().ok());
       ASSERT_TRUE(PinDomain(live.get(), fixture.rules,
                             AllConstants(*fixture.symbols))
@@ -410,12 +402,11 @@ TEST(DifferentialTest, IncrementalDeltaMatchesRebuildAcrossInterleavings) {
         live->ResetStats();
         Status applied = live->ApplyBaseDelta(delta);
         ASSERT_TRUE(applied.ok())
-            << config.name << "/t" << config.threads << " seed " << seed
-            << " step " << step << ": " << applied;
+            << config << " seed " << seed << " step " << step << ": "
+            << applied;
         std::set<Fact> changed(delta.inserts.begin(), delta.inserts.end());
         changed.insert(delta.retracts.begin(), delta.retracts.end());
-        if (std::string(config.name) == "bottomup" &&
-            NegatesAny(fixture.rules, changed)) {
+        if (config == "bottomup" && NegatesAny(fixture.rules, changed)) {
           const EngineStats& repair = live->stats();
           EXPECT_EQ(repair.strata_recomputed, 0)
               << "seed " << seed << " step " << step
@@ -431,7 +422,7 @@ TEST(DifferentialTest, IncrementalDeltaMatchesRebuildAcrossInterleavings) {
           break;
         }
         std::unique_ptr<Engine> rebuilt =
-            make_engine(config.name, fixture, engine_options);
+            make_engine(config, fixture, engine_options);
         auto scratch = PinnedDeriveAll(rebuilt.get(), fixture);
         if (!scratch.ok()) {
           ASSERT_EQ(scratch.status().code(), StatusCode::kResourceExhausted);
@@ -439,8 +430,8 @@ TEST(DifferentialTest, IncrementalDeltaMatchesRebuildAcrossInterleavings) {
           break;
         }
         EXPECT_EQ(*incremental, *scratch)
-            << config.name << "/t" << config.threads << " seed " << seed
-            << " step " << step << " diverged after "
+            << config << " seed " << seed << " step " << step
+            << " diverged after "
             << delta.inserts.size() << " inserts / "
             << delta.retracts.size() << " retracts, program:\n"
             << RuleBaseToString(fixture.rules);
@@ -469,14 +460,13 @@ std::optional<std::vector<Tuple>> SortedAnswers(Engine* engine,
 }
 
 /// Query-level what-ifs `p(V0, ...)[add: 1-3 facts]` on a warm bottom-up
-/// engine at `threads`, with random base commits in between, so child
-/// states derive from freshly repaired base models as well as from
-/// computed ones. Each what-if must answer like the reference evaluator
-/// and like a fresh engine over the database plus the additions. Returns
-/// the number of what-ifs compared; adds the live engines' derived
-/// children to `*derived`.
-int DerivedWhatIfsAgree(uint64_t first_seed, int count, int threads,
-                        int64_t* derived) {
+/// engine, with random base commits in between, so child states derive
+/// from freshly repaired base models as well as from computed ones. Each
+/// what-if must answer like the reference evaluator and like a fresh
+/// engine over the database plus the additions. Returns the number of
+/// what-ifs compared; adds the live engines' derived children to
+/// `*derived`.
+int DerivedWhatIfsAgree(uint64_t first_seed, int count, int64_t* derived) {
   RandomProgramOptions options;
   options.num_rules = 6;
   options.hypothetical_probability = 0.0;
@@ -484,7 +474,6 @@ int DerivedWhatIfsAgree(uint64_t first_seed, int count, int threads,
   EngineOptions engine_options;
   engine_options.max_states = 40'000;
   engine_options.max_steps = 3'000'000;
-  engine_options.num_threads = threads;
   int compared = 0;
   for (uint64_t seed = first_seed; seed < first_seed + count; ++seed) {
     Random rng(seed);
@@ -500,9 +489,8 @@ int DerivedWhatIfsAgree(uint64_t first_seed, int count, int threads,
                                     options.num_constants, &rng);
     };
     for (int step = 0; step < 4; ++step) {
-      const std::string label = "seed " + std::to_string(seed) + " t" +
-                                std::to_string(threads) + " step " +
-                                std::to_string(step);
+      const std::string label =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
       if (step > 0) {
         // A commit of 1-2 changes, repaired in place; one fact may
         // change twice.
@@ -576,13 +564,9 @@ int DerivedWhatIfsAgree(uint64_t first_seed, int count, int threads,
 }
 
 TEST(DifferentialTest, DerivedChildWhatIfsMatchReferenceAndScratch) {
-  for (int threads : {1, 8}) {
-    int64_t derived = 0;
-    const int compared = DerivedWhatIfsAgree(700, 60, threads, &derived);
-    EXPECT_GE(compared, 400) << "threads=" << threads;
-    EXPECT_GT(derived, 0) << "threads=" << threads
-                          << ": no what-if derived its child state";
-  }
+  int64_t derived = 0;
+  EXPECT_GE(DerivedWhatIfsAgree(700, 60, &derived), 400);
+  EXPECT_GT(derived, 0) << "no what-if derived its child state";
 }
 
 TEST(PermuteDatabaseTest, RenamesFacts) {

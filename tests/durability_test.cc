@@ -1,8 +1,8 @@
 // Durability layer tests: journal framing and replay, checkpoint
 // round-trips, torn-tail vs corruption taxonomy, crash-anywhere failpoint
 // sweeps with a shadow in-memory oracle, read-only degradation, and a
-// randomized recovery-vs-oracle differential across engines and thread
-// counts (DESIGN.md "Durability & recovery").
+// randomized recovery-vs-oracle differential across engines (DESIGN.md
+// "Durability & recovery").
 
 #include <algorithm>
 #include <atomic>
@@ -47,11 +47,10 @@ std::string FreshDir(const std::string& tag) {
 ServerOptions DurableOptions(
     const std::string& engine, const std::string& dir,
     Journal::FsyncPolicy policy = Journal::FsyncPolicy::kAlways,
-    int64_t checkpoint_every = 0, int threads = 1) {
+    int64_t checkpoint_every = 0) {
   ServerOptions options;
   options.engine_name = engine;
   options.pool_size = 2;
-  options.engine_options.num_threads = threads;
   options.durability.data_dir = dir;
   options.durability.fsync_policy = policy;
   options.durability.checkpoint_every = checkpoint_every;
@@ -431,23 +430,16 @@ TEST(DurabilityTest, TornFinalRecordIsTruncatedNotFatal) {
 // ---------------------------------------------------------------------------
 // Randomized recovery differential: a durable server restarted mid-run
 // must stay canonically equal to a never-restarted in-memory oracle, for
-// every engine and (bottomup) thread count.
+// every engine.
 
-struct DiffParam {
-  const char* engine;
-  int threads;
+class RecoveryDifferentialTest : public ::testing::TestWithParam<const char*> {
 };
 
-class RecoveryDifferentialTest
-    : public ::testing::TestWithParam<DiffParam> {};
-
 INSTANTIATE_TEST_SUITE_P(
-    EnginesAndThreads, RecoveryDifferentialTest,
-    ::testing::Values(DiffParam{"tabled", 1}, DiffParam{"stratified", 1},
-                      DiffParam{"bottomup", 1}, DiffParam{"bottomup", 8}),
-    [](const ::testing::TestParamInfo<DiffParam>& info) {
-      return std::string(info.param.engine) + "_t" +
-             std::to_string(info.param.threads);
+    Engines, RecoveryDifferentialTest,
+    ::testing::Values("tabled", "stratified", "bottomup"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
     });
 
 /// One mutation as surface text — the currency both servers understand
@@ -471,12 +463,10 @@ StatusOr<MutationOutcome> ApplyText(QueryServer* server,
 }
 
 TEST_P(RecoveryDifferentialTest, RandomizedBatchesSurviveRestarts) {
-  const std::string dir = FreshDir(std::string("diff_") +
-                                   GetParam().engine + "_" +
-                                   std::to_string(GetParam().threads));
+  const std::string dir = FreshDir(std::string("diff_") + GetParam());
   ServerOptions durable_opts =
-      DurableOptions(GetParam().engine, dir, Journal::FsyncPolicy::kAlways,
-                     /*checkpoint_every=*/3, GetParam().threads);
+      DurableOptions(GetParam(), dir, Journal::FsyncPolicy::kAlways,
+                     /*checkpoint_every=*/3);
   ServerOptions oracle_opts = durable_opts;
   oracle_opts.durability = DurabilityOptions();  // In-memory shadow.
 

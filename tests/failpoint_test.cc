@@ -26,7 +26,7 @@ namespace {
 #if HYPO_FAILPOINTS
 
 const char* const kConfigs[] = {"tabled", "stratified", "bottomup",
-                                "bottomup-demand", "bottomup-t8"};
+                                "bottomup-demand"};
 
 std::unique_ptr<Engine> MakeEngine(const std::string& kind,
                                    const RuleBase* rules, const Database* db) {
@@ -38,7 +38,6 @@ std::unique_ptr<Engine> MakeEngine(const std::string& kind,
     return std::make_unique<StratifiedProver>(rules, db, options);
   }
   options.demand = kind == "bottomup-demand";
-  options.num_threads = kind == "bottomup-t8" ? 8 : 1;
   return std::make_unique<BottomUpEngine>(rules, db, options);
 }
 
@@ -260,8 +259,7 @@ void FailpointTest::SweepAbortsAnywhere(const RuleBase& rules,
       EXPECT_TRUE(reached("tabled.call_table"))
           << "the sweep never reached a call table";
     }
-    if (expect_derived_children && (std::string(kind) == "bottomup" ||
-                                    std::string(kind) == "bottomup-t8")) {
+    if (expect_derived_children && std::string(kind) == "bottomup") {
       // An abort mid-derivation must leave the child dirty, never served
       // half-derived.
       EXPECT_TRUE(reached("bottomup.derive_child"))

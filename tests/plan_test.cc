@@ -23,9 +23,9 @@ namespace {
 
 // Structural invariants of BodyPlan (the contract the bytecode compiler
 // relies on), checked over random programs, plus a differential fuzz of
-// the three engines × thread counts × storage backends against the
-// reference evaluator (reference_eval.h), which shares no planner, VM or
-// storage code with them.
+// the three engines × storage backends against the reference evaluator
+// (reference_eval.h), which shares no planner, VM or storage code with
+// them.
 
 /// The statically-bound probe signature `step` should carry: column i is
 /// fixed iff argument i is a constant or a variable bound by an earlier
@@ -227,8 +227,8 @@ TEST(PlanTest, CompiledBytecodeAgreesWithPlan) {
 }
 
 /// Runs `count` random programs of one mix through every engine
-/// configuration — tabled; bottom-up at 1 and 8 threads; stratified when
-/// linearly stratifiable — on both storage backends, and compares
+/// configuration — tabled; bottom-up; stratified when linearly
+/// stratifiable — on both storage backends, and compares
 /// DeriveAll (the head-bound rule programs) and AnswerAll (the per-query
 /// compile path) with the reference evaluator over the same pinned
 /// domain. Returns the number of programs every configuration compared
@@ -285,12 +285,10 @@ int CompareWithReference(const RandomProgramOptions& options,
         TabledEngine engine(&fixture.rules, &db, o);
         check(&engine, "tabled" + storage);
       }
-      for (int threads : {1, 8}) {
-        o.num_threads = threads;
+      {
         BottomUpEngine engine(&fixture.rules, &db, o);
-        check(&engine, "bottomup/t" + std::to_string(threads) + storage);
+        check(&engine, "bottomup" + storage);
       }
-      o.num_threads = 1;
       if (linear) {
         StratifiedProver engine(&fixture.rules, &db, o);
         check(&engine, "stratified" + storage);

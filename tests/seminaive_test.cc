@@ -225,6 +225,8 @@ TEST(SeminaiveTest, TransitiveClosureDeltaDoesLessWork) {
   std::set<Tuple> got(tuples->begin(), tuples->end());
   // n*(n-1)/2 ordered reachable pairs on a path of n vertices.
   EXPECT_EQ(got.size(), static_cast<size_t>(n * (n - 1) / 2));
+  EXPECT_EQ(engine.stats().facts_derived, n * (n - 1) / 2)
+      << "every closure fact is derived exactly once";
   EXPECT_LT(engine.stats().join_probes, 8901 / 4)
       << "delta semi-naive should cut join probes dramatically";
   EXPECT_LE(engine.stats().goals_expanded, 4577);

@@ -118,24 +118,31 @@ TEST_P(ServerTest, ConcurrentQueriesNeverSeeTornEpochs) {
   // Readers hammer reach(a, X) while a writer toggles edge(a, b). Every
   // answer set must be consistent with SOME epoch: {} (edge absent) or
   // {b, c} (edge present) — a 1-element answer would mean a query
-  // observed a half-applied mutation.
+  // observed a half-applied mutation. Each reader also asks a what-if,
+  // so the four pooled engines build hypothetical child states over the
+  // one sealed base at once: adding edge(c, a) closes the cycle
+  // a -> b -> c -> a exactly in the odd epochs, where edge(a, b) is
+  // present.
   auto server = MakeServer(GetParam(), /*pool=*/4);
   ASSERT_NE(server, nullptr);
 
   std::atomic<bool> stop{false};
   std::atomic<int> torn{0};
+  std::atomic<int> wrong_whatifs{0};
   std::atomic<int> errors{0};
   std::vector<std::thread> readers;
   for (int i = 0; i < 4; ++i) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         auto q = server->Query("reach(a, X)");
-        if (!q.ok()) {
+        auto w = server->Query("reach(a, a)[add: edge(c, a)]");
+        if (!q.ok() || !w.ok()) {
           errors.fetch_add(1);
           continue;
         }
         size_t n = q->answers.size();
         if (n != 0 && n != 2) torn.fetch_add(1);
+        if (w->proven != (w->epoch % 2 == 1)) wrong_whatifs.fetch_add(1);
       }
     });
   }
@@ -151,6 +158,7 @@ TEST_P(ServerTest, ConcurrentQueriesNeverSeeTornEpochs) {
   for (auto& t : readers) t.join();
 
   EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(wrong_whatifs.load(), 0);
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(server->epoch(), 51) << "50 toggles, every one a net change";
 }

@@ -19,9 +19,8 @@ namespace {
 
 // Differential fuzzing of the two storage backends (columnar flat
 // storage vs the reference hash path): identical contents, identical
-// probe answers in identical order, identical engine results at every
-// thread count, across insert/retract interleavings and
-// Seal/Unseal/epoch cycles.
+// probe answers in identical order, identical engine results, across
+// insert/retract interleavings and Seal/Unseal/epoch cycles.
 
 Database CopyWithBackend(const Database& src,
                          std::shared_ptr<SymbolTable> symbols,
@@ -200,9 +199,9 @@ TEST(StorageFuzzTest, ClearRelationParity) {
   }
 }
 
-/// All three engine families, at 1 and 8 threads for the bottom-up one,
-/// derive bit-identical models on both storage backends.
-TEST(StorageFuzzTest, EnginesBitIdenticalAcrossBackendsAndThreads) {
+/// All three engine families derive bit-identical models on both storage
+/// backends.
+TEST(StorageFuzzTest, EnginesBitIdenticalAcrossBackends) {
   RandomProgramOptions options;
   options.num_rules = 6;
   options.negation_probability = 0.2;
@@ -219,7 +218,7 @@ TEST(StorageFuzzTest, EnginesBitIdenticalAcrossBackendsAndThreads) {
     eo.max_states = 40'000;
     eo.max_steps = 3'000'000;
 
-    // Reference: bottom-up, 1 thread, columnar. FactsFor returns the
+    // Reference: bottom-up, columnar. FactsFor returns the
     // model's tuples in derivation order, so comparing the vectors (not
     // sets) checks bit-identical iteration order across backends.
     Database columnar_db =
@@ -246,21 +245,17 @@ TEST(StorageFuzzTest, EnginesBitIdenticalAcrossBackendsAndThreads) {
 
     for (StorageBackend backend : kBackends) {
       Database db = CopyWithBackend(fixture.db, fixture.symbols, backend);
-      for (int threads : {1, 8}) {
-        EngineOptions peo = eo;
-        peo.num_threads = threads;
-        BottomUpEngine engine(&fixture.rules, &db, peo);
-        ASSERT_TRUE(engine.Init().ok());
-        for (size_t i = 0; i < idb.size(); ++i) {
-          auto facts = engine.FactsFor(idb[i]);
-          ASSERT_TRUE(facts.ok()) << facts.status();
-          EXPECT_EQ(*facts, expect[i])
-              << "seed " << seed << " backend "
-              << (backend == StorageBackend::kColumnar ? "columnar" : "hash")
-              << " t" << threads << " diverged on "
-              << fixture.symbols->PredicateName(idb[i]) << "\n"
-              << RuleBaseToString(fixture.rules);
-        }
+      BottomUpEngine engine(&fixture.rules, &db, eo);
+      ASSERT_TRUE(engine.Init().ok());
+      for (size_t i = 0; i < idb.size(); ++i) {
+        auto facts = engine.FactsFor(idb[i]);
+        ASSERT_TRUE(facts.ok()) << facts.status();
+        EXPECT_EQ(*facts, expect[i])
+            << "seed " << seed << " backend "
+            << (backend == StorageBackend::kColumnar ? "columnar" : "hash")
+            << " diverged on " << fixture.symbols->PredicateName(idb[i])
+            << "\n"
+            << RuleBaseToString(fixture.rules);
       }
 
       // The top-down engines must prove exactly the reference model's
