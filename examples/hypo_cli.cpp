@@ -155,12 +155,6 @@ int main(int argc, char** argv) {
                  " [--timeout-ms N] [--max-memory-mb N] [--explain-plan]\n";
     return 2;
   }
-  // A mistyped storage backend must fail fast, not silently evaluate on
-  // the default backend.
-  if (Status s = Database::ValidateStorageEnv(); !s.ok()) {
-    std::cerr << "storage: " << s << "\n";
-    return 2;
-  }
   std::string program_path;
   std::vector<std::string> queries;
   std::string engine_name = "tabled";

@@ -92,12 +92,6 @@ int main(int argc, char** argv) {
                  " [--checkpoint-every N]\n";
     return 2;
   }
-  // A mistyped storage backend must fail the launch, not silently serve
-  // every epoch from the default backend.
-  if (Status s = Database::ValidateStorageEnv(); !s.ok()) {
-    std::cerr << "storage: " << s << "\n";
-    return 2;
-  }
   std::string program_path;
   ServerOptions options;
   long timeout_ms = 0;

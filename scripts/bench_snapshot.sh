@@ -8,12 +8,6 @@
 #   label             e.g. "seed" or "pr1-interned-contexts"
 #   build_dir         CMake build tree to take binaries from (default: build)
 #   benchmark_filter  optional --benchmark_filter regex
-#
-# The storage backend is inherited from HYPO_STORAGE ("hash" selects the
-# reference hash path, anything else the columnar default) and recorded
-# in the run's meta, so back-to-back backend ladders are two invocations:
-#   HYPO_STORAGE=hash scripts/bench_snapshot.sh pr7-hash
-#   scripts/bench_snapshot.sh pr7-columnar
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,13 +45,11 @@ try:
                 break
 except OSError:
     pass
-storage = "hash" if os.environ.get("HYPO_STORAGE") == "hash" else "columnar"
 run = {
     "label": label,
     "meta": {
         "nproc": os.cpu_count(),
         "cpu": cpu,
-        "storage": storage,
     },
     "suites": {},
 }

@@ -9,10 +9,10 @@
 
 namespace hypo {
 
-/// Position of a tuple inside its relation's columnar store (and inside
-/// the reference backend's tuple vector). Row ids are dense, stable under
-/// insertion, and only shift on Retract — an epoch-boundary operation
-/// that drops every index over the relation anyway.
+/// Position of a tuple inside its relation's columnar store. Row ids are
+/// dense, stable under insertion, and only shift on Retract — an
+/// epoch-boundary operation that drops every index over the relation
+/// anyway.
 using RowId = int32_t;
 
 /// Flat struct-of-arrays tuple storage for one relation: `arity` parallel
@@ -52,10 +52,9 @@ class ColumnStore {
   }
 
   /// Removes the row equal to `vals` if present, compacting the columns
-  /// while preserving the order of the remaining rows (matching
-  /// vector::erase semantics in the reference backend). Rebuilds the
-  /// dedup table — O(rows * arity); retraction is an epoch-boundary
-  /// operation, not a join-loop one.
+  /// while preserving the order of the remaining rows, so iteration stays
+  /// in insertion order. Rebuilds the dedup table — O(rows * arity);
+  /// retraction is an epoch-boundary operation, not a join-loop one.
   bool Erase(const Tuple& vals);
 
   void Clear();
@@ -83,8 +82,8 @@ class ColumnStore {
   /// the empty slot where it would go. slots_ must be non-empty. The hash
   /// is finalized before masking: HashRowLike's low bits cluster badly on
   /// sequential ConstIds, and under a power-of-two mask that degrades
-  /// linear probing to near-linear scans (the reference backend never
-  /// sees this because unordered_set buckets by prime modulo).
+  /// linear probing to near-linear scans (a prime-modulo table such as
+  /// unordered_set would not see this).
   template <typename Row>
   size_t FindSlot(const Row& vals, uint64_t hash) const {
     size_t slot = static_cast<size_t>(HashFinalize(hash)) & slot_mask_;

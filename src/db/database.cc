@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <numeric>
 
@@ -25,52 +23,8 @@ std::string FactToString(const Fact& fact, const SymbolTable& symbols) {
   return out;
 }
 
-namespace {
-
-std::atomic<int>& DefaultBackendSlot() {
-  // -1 = uninitialized; else a StorageBackend value. Initialized from the
-  // environment on first use so bench/fuzz harnesses can flip the whole
-  // process (every fixture- and parser-created database) per run.
-  static std::atomic<int> slot{-1};
-  return slot;
-}
-
-}  // namespace
-
-StorageBackend Database::DefaultBackend() {
-  std::atomic<int>& slot = DefaultBackendSlot();
-  int v = slot.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("HYPO_STORAGE");
-    StorageBackend backend =
-        (env != nullptr && std::strcmp(env, "hash") == 0)
-            ? StorageBackend::kReferenceHash
-            : StorageBackend::kColumnar;
-    v = static_cast<int>(backend);
-    slot.store(v, std::memory_order_relaxed);
-  }
-  return static_cast<StorageBackend>(v);
-}
-
-Status Database::ValidateStorageEnv() {
-  const char* env = std::getenv("HYPO_STORAGE");
-  if (env == nullptr || env[0] == '\0' || std::strcmp(env, "hash") == 0 ||
-      std::strcmp(env, "columnar") == 0) {
-    return Status::OK();
-  }
-  return Status::InvalidArgument(
-      std::string("unknown HYPO_STORAGE value \"") + env +
-      "\" (expected \"columnar\" or \"hash\")");
-}
-
-void Database::SetDefaultBackend(StorageBackend backend) {
-  DefaultBackendSlot().store(static_cast<int>(backend),
-                             std::memory_order_relaxed);
-}
-
 Database::Database(Database&& other) noexcept
     : symbols_(std::move(other.symbols_)),
-      backend_(other.backend_),
       relations_(std::move(other.relations_)),
       constants_(std::move(other.constants_)),
       constant_refs_(std::move(other.constant_refs_)),
@@ -88,7 +42,6 @@ Database::Database(Database&& other) noexcept
 
 Database& Database::operator=(Database&& other) noexcept {
   symbols_ = std::move(other.symbols_);
-  backend_ = other.backend_;
   relations_ = std::move(other.relations_);
   constants_ = std::move(other.constants_);
   constant_refs_ = std::move(other.constant_refs_);
@@ -112,7 +65,7 @@ Database& Database::operator=(Database&& other) noexcept {
 }
 
 Database Database::Clone() const {
-  Database copy(symbols_, backend_);
+  Database copy(symbols_);
   copy.relations_ = relations_;
   copy.constants_ = constants_;
   copy.constant_refs_ = constant_refs_;
@@ -130,17 +83,9 @@ bool Database::Insert(const Fact& fact) {
   auto [it, created] = relations_.try_emplace(
       fact.predicate, static_cast<int>(fact.args.size()));
   Relation& rel = it->second;
-  if (backend_ == StorageBackend::kColumnar) {
-    const int64_t arena_before = rel.store.ArenaBytes();
-    if (!rel.store.Insert(fact.args)) return false;
-    approx_bytes_ += rel.store.ArenaBytes() - arena_before;
-  } else {
-    auto [dit, inserted] = rel.dedup.insert(fact.args);
-    (void)dit;
-    if (!inserted) return false;
-    rel.tuples.push_back(fact.args);
-    approx_bytes_ += ApproxFactBytes(fact.args.size());
-  }
+  const int64_t arena_before = rel.store.ArenaBytes();
+  if (!rel.store.Insert(fact.args)) return false;
+  approx_bytes_ += rel.store.ArenaBytes() - arena_before;
   // A real mutation on a sealed database starts a new epoch: drop the
   // seal so lazy index extension resumes. Leaving the seal up would serve
   // probes from indexes whose built_upto no longer covers the relation —
@@ -157,23 +102,15 @@ bool Database::Retract(const Fact& fact) {
   auto it = relations_.find(fact.predicate);
   if (it == relations_.end()) return false;
   Relation& rel = it->second;
-  if (backend_ == StorageBackend::kColumnar) {
-    const int64_t arena_before = rel.store.ArenaBytes();
-    if (!rel.store.Erase(fact.args)) return false;
-    approx_bytes_ += rel.store.ArenaBytes() - arena_before;
-  } else {
-    if (rel.dedup.erase(fact.args) == 0) return false;
-    auto pos = std::find(rel.tuples.begin(), rel.tuples.end(), fact.args);
-    HYPO_DCHECK(pos != rel.tuples.end()) << "dedup/tuple vector out of sync";
-    rel.tuples.erase(pos);
-    approx_bytes_ -= ApproxFactBytes(fact.args.size());
-  }
+  const int64_t arena_before = rel.store.ArenaBytes();
+  if (!rel.store.Erase(fact.args)) return false;
+  approx_bytes_ += rel.store.ArenaBytes() - arena_before;
   sealed_ = false;
   ++rel.version;
   DropRelationIndexes(rel);
   DropConstantRefs(fact.args);
   --size_;
-  if (RelationSize(rel) == 0) {
+  if (rel.store.empty()) {
     approx_bytes_ -= rel.store.ArenaBytes();
     relations_.erase(it);
     BumpCursorEpoch();
@@ -186,19 +123,11 @@ int64_t Database::ClearRelation(PredicateId pred) {
   if (it == relations_.end()) return 0;
   Relation& rel = it->second;
   sealed_ = false;
-  const int64_t removed = static_cast<int64_t>(RelationSize(rel));
-  if (backend_ == StorageBackend::kColumnar) {
-    const RowId n = rel.store.size();
-    for (RowId row = 0; row < n; ++row) {
-      DropConstantRefs(RowRef(&rel.store, row).ToTuple());
-    }
-    approx_bytes_ -= rel.store.ArenaBytes();
-  } else {
-    for (const Tuple& t : rel.tuples) {
-      DropConstantRefs(t);
-      approx_bytes_ -= ApproxFactBytes(t.size());
-    }
+  const RowId removed = rel.store.size();
+  for (RowId row = 0; row < removed; ++row) {
+    DropConstantRefs(RowRef(&rel.store, row).ToTuple());
   }
+  approx_bytes_ -= rel.store.ArenaBytes();
   DropRelationIndexes(rel);
   size_ -= removed;
   relations_.erase(it);
@@ -237,26 +166,21 @@ Database::ColumnIndex& Database::ExtendIndex(const Relation& rel,
   auto [ci_it, created] = rel.column_indexes.try_emplace(mask);
   ColumnIndex& ci = ci_it->second;
   if (created) index_builds_.fetch_add(1, std::memory_order_relaxed);
-  const size_t rel_size = RelationSize(rel);
+  const size_t rel_size = static_cast<size_t>(rel.store.size());
   if (ci.built_upto < rel_size) {
     // Catch up on tuples appended since the last probe. Insertions never
     // reorder or remove tuples, so extending the buckets is sound.
     approx_bytes_ += kApproxIndexEntryBytes *
                      static_cast<int64_t>(rel_size - ci.built_upto);
-    const bool columnar = backend_ == StorageBackend::kColumnar;
-    const size_t arity =
-        columnar ? static_cast<size_t>(rel.store.arity())
-                 : (rel.tuples.empty() ? 0 : rel.tuples[0].size());
     const size_t limit = std::min<size_t>(
-        arity, static_cast<size_t>(kMaxIndexedColumns));
+        static_cast<size_t>(rel.store.arity()),
+        static_cast<size_t>(kMaxIndexedColumns));
     Tuple probe;
     for (size_t pos = ci.built_upto; pos < rel_size; ++pos) {
       probe.clear();
       for (size_t c = 0; c < limit; ++c) {
         if ((mask & (1u << c)) == 0) continue;
-        probe.push_back(columnar
-                            ? rel.store.At(static_cast<RowId>(pos), c)
-                            : rel.tuples[pos][c]);
+        probe.push_back(rel.store.At(static_cast<RowId>(pos), c));
       }
       ci.buckets[probe].push_back(static_cast<RowId>(pos));
     }
@@ -426,20 +350,18 @@ Database::ProbeOutcome Database::ProbeInternal(
   HYPO_DCHECK(mask != 0) << "probe with no bound columns is a full scan";
   index_probes_.fetch_add(1, std::memory_order_relaxed);
   ProbeOutcome outcome;
-  if (backend_ == StorageBackend::kColumnar) {
-    const ColumnIndex* ci;
-    if (ci_cache != nullptr && *ci_cache != nullptr) {
-      ci = *ci_cache;
-    } else {
-      auto ci_it = rel.column_indexes.find(mask);
-      ci = ci_it == rel.column_indexes.end() ? nullptr : &ci_it->second;
-      if (ci_cache != nullptr) *ci_cache = ci;
-    }
-    if (ci != nullptr && ci->sorted_version == rel.version) {
-      // Current sorted permutation: binary-search it whether sealed or
-      // not — the lookup is strictly read-only either way.
-      return SortedLookup(rel, *ci, mask, key);
-    }
+  const ColumnIndex* ci;
+  if (ci_cache != nullptr && *ci_cache != nullptr) {
+    ci = *ci_cache;
+  } else {
+    auto ci_it = rel.column_indexes.find(mask);
+    ci = ci_it == rel.column_indexes.end() ? nullptr : &ci_it->second;
+    if (ci_cache != nullptr) *ci_cache = ci;
+  }
+  if (ci != nullptr && ci->sorted_version == rel.version) {
+    // Current sorted permutation: binary-search it whether sealed or
+    // not — the lookup is strictly read-only either way.
+    return SortedLookup(rel, *ci, mask, key);
   }
   if (sealed_) {
     // Strictly read-only: serve only indexes that were complete at seal
@@ -447,7 +369,7 @@ Database::ProbeOutcome Database::ProbeInternal(
     // than mutating shared index state under concurrent readers.
     auto ci_it = rel.column_indexes.find(mask);
     if (ci_it == rel.column_indexes.end() ||
-        ci_it->second.built_upto < RelationSize(rel)) {
+        ci_it->second.built_upto < static_cast<size_t>(rel.store.size())) {
       outcome.kind = ProbeOutcome::kScanAll;
       return outcome;
     }
@@ -457,10 +379,10 @@ Database::ProbeOutcome Database::ProbeInternal(
     outcome.bucket = &bucket->second;
     return outcome;
   }
-  ColumnIndex& ci = ExtendIndex(rel, mask);
-  if (ci_cache != nullptr) *ci_cache = &ci;
-  auto bucket = ci.buckets.find(key);
-  if (bucket == ci.buckets.end()) return outcome;  // kNone.
+  ColumnIndex& built = ExtendIndex(rel, mask);
+  if (ci_cache != nullptr) *ci_cache = &built;
+  auto bucket = built.buckets.find(key);
+  if (bucket == built.buckets.end()) return outcome;  // kNone.
   outcome.kind = ProbeOutcome::kBucket;
   outcome.bucket = &bucket->second;
   return outcome;
@@ -489,7 +411,7 @@ void Database::PrepareIndex(PredicateId pred, ColumnMask mask) const {
   HYPO_DCHECK(!sealed_) << "prepare indexes before sealing";
   auto it = relations_.find(pred);
   if (it == relations_.end()) return;
-  if (backend_ == StorageBackend::kColumnar && sorted_on_seal_) {
+  if (sorted_on_seal_) {
     // Registration is enough: the seal sorts every registered mask, so
     // building hash buckets here would be thrown away immediately.
     auto [ci_it, created] = it->second.column_indexes.try_emplace(mask);
@@ -504,7 +426,7 @@ void Database::SealIndexes() const {
   for (const auto& [pred, rel] : relations_) {
     (void)pred;
     for (auto& [mask, ci] : rel.column_indexes) {
-      if (backend_ == StorageBackend::kColumnar && sorted_on_seal_) {
+      if (sorted_on_seal_) {
         SortIndex(rel, mask, ci);
       } else {
         ExtendIndex(rel, mask);
@@ -534,38 +456,28 @@ Status Database::Insert(std::string_view predicate,
 }
 
 Database::RowsView Database::TuplesFor(PredicateId pred) const {
-  static const std::vector<Tuple>* const kEmpty = new std::vector<Tuple>();
   RowsView view;
   auto it = relations_.find(pred);
-  if (it == relations_.end()) {
-    view.tuples_ = kEmpty;
-    return view;
-  }
-  if (backend_ == StorageBackend::kColumnar) {
+  if (it != relations_.end()) {
     view.store_ = &it->second.store;
     view.size_ = static_cast<size_t>(it->second.store.size());
-  } else {
-    view.tuples_ = &it->second.tuples;
-    view.size_ = it->second.tuples.size();
   }
   return view;
 }
 
 int Database::CountFor(PredicateId pred) const {
   auto it = relations_.find(pred);
-  return it == relations_.end() ? 0
-                                : static_cast<int>(RelationSize(it->second));
+  return it == relations_.end() ? 0 : it->second.store.size();
 }
 
 int64_t Database::ArenaBytes() const {
-  if (backend_ != StorageBackend::kColumnar) return 0;
   int64_t bytes = 0;
   for (const auto& [pred, rel] : relations_) {
     (void)pred;
     bytes += rel.store.ArenaBytes();
     for (const auto& [mask, ci] : rel.column_indexes) {
       (void)mask;
-      bytes += static_cast<int64_t>(ci.perm.capacity()) * sizeof(RowId);
+      bytes += SortedBytes(ci);
     }
   }
   return bytes;
@@ -573,15 +485,9 @@ int64_t Database::ArenaBytes() const {
 
 void Database::ForEach(const std::function<void(const Fact&)>& fn) const {
   for (const auto& [pred, rel] : relations_) {
-    if (backend_ == StorageBackend::kColumnar) {
-      const RowId n = rel.store.size();
-      for (RowId row = 0; row < n; ++row) {
-        fn(Fact{pred, RowRef(&rel.store, row).ToTuple()});
-      }
-    } else {
-      for (const Tuple& t : rel.tuples) {
-        fn(Fact{pred, t});
-      }
+    const RowId n = rel.store.size();
+    for (RowId row = 0; row < n; ++row) {
+      fn(Fact{pred, RowRef(&rel.store, row).ToTuple()});
     }
   }
 }
@@ -589,7 +495,7 @@ void Database::ForEach(const std::function<void(const Fact&)>& fn) const {
 std::vector<PredicateId> Database::NonEmptyPredicates() const {
   std::vector<PredicateId> out;
   for (const auto& [pred, rel] : relations_) {
-    if (RelationSize(rel) > 0) out.push_back(pred);
+    if (!rel.store.empty()) out.push_back(pred);
   }
   return out;
 }

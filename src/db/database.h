@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <string_view>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -25,23 +24,20 @@ using ColumnMask = uint32_t;
 
 constexpr int kMaxIndexedColumns = 32;
 
-/// How a Database stores its tuples.
-///
-/// kColumnar (the default) is flat struct-of-arrays column arenas with an
+/// The one storage layout: flat struct-of-arrays column arenas with an
 /// open-addressing row-id dedup table and optional sorted permutation
-/// indexes built at seal time. kReferenceHash is the original node-based
-/// layout (vector<Tuple> + unordered_set + lazy hash buckets), kept as
-/// the differential-testing oracle the columnar path is fuzzed against.
-/// Both backends store, iterate, and probe rows in identical order, so
-/// query results are bit-identical across backends.
-enum class StorageBackend { kColumnar, kReferenceHash };
+/// indexes built at seal time. The enum exists only because
+/// serverbench/driver.cc passes Database::DefaultBackend() to
+/// RecoverDataDir; nothing else uses it.
+enum class StorageBackend { kColumnar };
 
-/// Budget-tracking estimate of one stored ground fact of the given arity.
-/// This is the *reference-hash* footprint (tuple stored twice plus hash
-/// node overhead); the engines use it as the per-fact increment for live
-/// budget tracking on both backends — deliberately conservative for
-/// columnar storage, whose exact arena bytes (Database::ApproxBytes) true
-/// up the tracked total at every metering checkpoint.
+/// Conservative per-fact charge for live memory-budget tracking: above
+/// what a stored fact of the given arity costs in column arena and dedup
+/// slots. BottomUpEngine adds it for each fact its rounds derive, and
+/// replaces the running total with exact Database::ApproxBytes sums only
+/// at its re-sum points: RecomputeTrackedBytes after a base repair or
+/// when a query arms a memory budget, and the exact growth DeriveChild
+/// and ResetToAdditions charge.
 inline int64_t ApproxFactBytes(size_t arity) {
   return 2 * static_cast<int64_t>(sizeof(Tuple) +
                                   arity * sizeof(ConstId)) +
@@ -63,35 +59,20 @@ constexpr int64_t kApproxIndexEntryBytes = 16;
 /// relation's column indexes (rebuilt lazily on the next probe).
 ///
 /// Access paths: every (predicate, ColumnMask) signature gets an index.
-/// Unsealed, that is a lazily extended hash-bucket index on either
-/// backend. On a columnar database with EnableSortedIndexes(), sealing
-/// instead sorts a permutation of row ids per registered mask, so sealed
-/// probes binary-search to a contiguous sorted range — the merge-join
-/// access path — and re-sealing an unchanged relation is O(1) via a
-/// version check (crucial when many hypothetical child states re-seal
-/// the same base).
+/// Unsealed, that is a lazily extended hash-bucket index. On a database
+/// with EnableSortedIndexes(), sealing instead sorts a permutation of row
+/// ids per registered mask, so sealed probes binary-search to a
+/// contiguous sorted range — the merge-join access path — and re-sealing
+/// an unchanged relation is O(1) via a version check (crucial when many
+/// hypothetical child states re-seal the same base).
 class Database {
  public:
   explicit Database(std::shared_ptr<SymbolTable> symbols)
-      : Database(std::move(symbols), DefaultBackend()) {}
+      : symbols_(std::move(symbols)) {}
 
-  Database(std::shared_ptr<SymbolTable> symbols, StorageBackend backend)
-      : symbols_(std::move(symbols)), backend_(backend) {}
-
-  /// Backend used when none is given to the constructor. Initialized from
-  /// the HYPO_STORAGE environment variable ("columnar" | "hash") on first
-  /// use, overridable for tests/benches. Process-wide.
-  static StorageBackend DefaultBackend();
-  static void SetDefaultBackend(StorageBackend backend);
-
-  /// Validates the HYPO_STORAGE environment variable without consuming
-  /// it: unset, "", "columnar", and "hash" are accepted; anything else is
-  /// InvalidArgument naming the bad value. Entry points (hypo_cli,
-  /// hypo_serve) call this at startup so a typo fails fast instead of
-  /// silently evaluating on the default backend.
-  static Status ValidateStorageEnv();
-
-  StorageBackend backend() const { return backend_; }
+  /// Exists only for serverbench/driver.cc, which passes it to
+  /// RecoverDataDir.
+  static StorageBackend DefaultBackend() { return StorageBackend::kColumnar; }
 
   /// Databases are heavyweight; copying must be explicit via Clone().
   Database(const Database&) = delete;
@@ -135,43 +116,29 @@ class Database {
   template <typename Row>
   bool Contains(PredicateId pred, const Row& row) const {
     auto it = relations_.find(pred);
-    if (it == relations_.end()) return false;
-    if (backend_ == StorageBackend::kColumnar) {
-      return it->second.store.Contains(row);
-    }
-    if constexpr (std::is_same_v<std::decay_t<Row>, Tuple>) {
-      return it->second.dedup.count(row) > 0;
-    } else {
-      Tuple t;
-      t.reserve(row.size());
-      for (size_t i = 0; i < row.size(); ++i) t.push_back(row[i]);
-      return it->second.dedup.count(t) > 0;
-    }
+    return it != relations_.end() && it->second.store.Contains(row);
   }
 
-  /// Backend-neutral view of one relation's rows, in insertion order.
-  /// Row ids index into it. Cold-path API (repair diffs, FactsFor,
-  /// tests): hot join loops go through ForEachCandidate, which iterates
-  /// backend-native rows without materializing Tuples.
+  /// View of one relation's rows, in insertion order. Row ids index into
+  /// it. Cold-path API (repair diffs, FactsFor, tests): hot join loops go
+  /// through ForEachCandidate, which visits RowRefs without
+  /// materializing Tuples.
   class RowsView {
    public:
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
     ConstId At(size_t row, size_t col) const {
-      return store_ != nullptr ? store_->At(static_cast<RowId>(row), col)
-                               : (*tuples_)[row][col];
+      return store_->At(static_cast<RowId>(row), col);
     }
 
     Tuple TupleAt(size_t row) const {
-      if (store_ == nullptr) return (*tuples_)[row];
       return RowRef(store_, static_cast<RowId>(row)).ToTuple();
     }
 
    private:
     friend class Database;
     const ColumnStore* store_ = nullptr;
-    const std::vector<Tuple>* tuples_ = nullptr;
     size_t size_ = 0;
   };
 
@@ -220,9 +187,8 @@ class Database {
   /// Hot-path join funnel: invokes `fn(row)` for each stored tuple of
   /// `pred` that can match the bound-column signature — the probed index
   /// subset when one is available, the full relation otherwise (mask 0,
-  /// or the sealed-degraded scan-all path). `row` is backend-native
-  /// (const Tuple& or RowRef) so `fn` must be generic; it returns false
-  /// to stop, and then ForEachCandidate returns false.
+  /// or the sealed-degraded scan-all path). `fn` takes a RowRef and
+  /// returns false to stop, and then ForEachCandidate returns false.
   ///
   /// The scan is *snapshot-bounded*: only tuples stored when the scan
   /// started are visited, even though `fn` may insert into the same
@@ -244,7 +210,6 @@ class Database {
     auto it = relations_.find(pred);
     if (it == relations_.end()) return true;
     const Relation& rel = it->second;
-    const bool columnar = backend_ == StorageBackend::kColumnar;
     if (mask != 0) {
       ProbeOutcome outcome = ProbeInternal(rel, mask, key);
       switch (outcome.kind) {
@@ -254,16 +219,12 @@ class Database {
           const std::vector<RowId>& bucket = *outcome.bucket;
           const size_t n = bucket.size();
           for (size_t i = 0; i < n; ++i) {
-            if (columnar) {
-              if (!fn(RowRef(&rel.store, bucket[i]))) return false;
-            } else {
-              if (!fn(rel.tuples[bucket[i]])) return false;
-            }
+            if (!fn(RowRef(&rel.store, bucket[i]))) return false;
           }
           return true;
         }
         case ProbeOutcome::kRange: {
-          // Columnar-only: a frozen slice of the sorted permutation.
+          // A frozen slice of the sorted permutation.
           if (report != nullptr) {
             report->sorted = true;
             report->rows = outcome.count;
@@ -277,21 +238,14 @@ class Database {
           break;  // Degrade to the full scan below.
       }
     }
-    if (columnar) {
-      const RowId n = rel.store.size();
-      for (RowId row = 0; row < n; ++row) {
-        if (!fn(RowRef(&rel.store, row))) return false;
-      }
-    } else {
-      const size_t n = rel.tuples.size();
-      for (size_t i = 0; i < n; ++i) {
-        if (!fn(rel.tuples[i])) return false;
-      }
+    const RowId n = rel.store.size();
+    for (RowId row = 0; row < n; ++row) {
+      if (!fn(RowRef(&rel.store, row))) return false;
     }
     return true;
   }
 
-  /// Eagerly registers (and on the unsealed hash path, catches up) the
+  /// Eagerly registers (and on the unsealed bucket path, catches up) the
   /// index for `(pred, mask)`. A no-op when the relation is absent. The
   /// engines hoist every join signature through this before sealing; on
   /// a sorted-index database registration is enough — the seal itself
@@ -312,14 +266,13 @@ class Database {
   void UnsealIndexes() const { sealed_ = false; }
   bool sealed() const { return sealed_; }
 
-  /// Opts this database into sort-on-seal permutation indexes (columnar
-  /// backend only; a no-op otherwise). Off by default because the
-  /// engines' short-lived delta/ext databases reseal every fixpoint
-  /// round — sorting those would be O(n log n) per round for indexes the
-  /// incremental hash extension serves at O(new rows). The long-lived,
-  /// read-mostly bases (the engine-owned seal in ComputeModel, the
-  /// server's epoch base) enable it. One-way and logically const: an
-  /// index-strategy hint, not data.
+  /// Opts this database into sort-on-seal permutation indexes. Off by
+  /// default because the engines' short-lived delta/ext databases reseal
+  /// every fixpoint round — sorting those would be O(n log n) per round
+  /// for indexes the incremental hash extension serves at O(new rows).
+  /// The long-lived, read-mostly bases (the engine-owned seal in
+  /// ComputeModel, the server's epoch base) enable it. One-way and
+  /// logically const: an index-strategy hint, not data.
   void EnableSortedIndexes() const { sorted_on_seal_ = true; }
   bool sorted_indexes_enabled() const { return sorted_on_seal_; }
 
@@ -346,8 +299,9 @@ class Database {
     return index_sort_micros_.load(std::memory_order_relaxed);
   }
 
-  /// Exact bytes held by columnar arenas (column vectors, dedup tables,
-  /// sorted permutations). Zero on the reference-hash backend. O(#relations).
+  /// Exact bytes held by the column arenas and dedup tables, plus every
+  /// array a sorted seal builds (perm, keys, starts). Leaves out only the
+  /// unsealed hash buckets, which ApproxBytes estimates. O(#indexes).
   int64_t ArenaBytes() const;
 
   /// Number of tuples of `pred`.
@@ -368,13 +322,13 @@ class Database {
   bool empty() const { return size_ == 0; }
   void Clear();
 
-  /// Appends a backend-neutral binary snapshot of every non-empty
-  /// relation: per relation (ascending PredicateId, so the bytes are
-  /// deterministic) the predicate id, arity, row count, then the rows in
-  /// insertion order as raw little-endian ConstIds. Symbol *names* are
-  /// not included — the checkpoint persists the SymbolTable alongside so
-  /// the dense ids resolve identically on load. Backs the durability
-  /// layer's checkpoint dump (DESIGN.md "Durability & recovery").
+  /// Appends a binary snapshot of every non-empty relation: per relation
+  /// (ascending PredicateId, so the bytes are deterministic) the
+  /// predicate id, arity, row count, then the rows in insertion order as
+  /// raw little-endian ConstIds. Symbol *names* are not included — the
+  /// checkpoint persists the SymbolTable alongside so the dense ids
+  /// resolve identically on load. Backs the durability layer's
+  /// checkpoint dump (DESIGN.md "Durability & recovery").
   void SerializeRelations(std::string* out) const;
 
   /// Rebuilds relations from SerializeRelations bytes into this database
@@ -384,11 +338,11 @@ class Database {
   /// engine artifact — is identical to the dumped database's.
   Status DeserializeRelations(std::string_view bytes);
 
-  /// Heap bytes held by tuple storage and column indexes — exact arena
-  /// bytes on the columnar backend, the ApproxFactBytes estimate on the
-  /// reference one. Maintained incrementally on every insert and index
-  /// build, so reading it is O(1) — the memory-budget enforcement in
-  /// QueryGuard reads it at metering frequency.
+  /// Heap bytes held by tuple storage and column indexes: ArenaBytes plus
+  /// a kApproxIndexEntryBytes estimate per hash-bucket entry. Maintained
+  /// incrementally on every insert and index build, so reading it is
+  /// O(1) — the memory-budget enforcement in QueryGuard reads it at
+  /// metering frequency.
   int64_t ApproxBytes() const { return approx_bytes_; }
 
   const SymbolTable& symbols() const { return *symbols_; }
@@ -436,9 +390,7 @@ class Database {
 
   struct Relation {
     explicit Relation(int arity) : store(arity) {}
-    ColumnStore store;                           // kColumnar rows.
-    std::vector<Tuple> tuples;                   // kReferenceHash rows.
-    std::unordered_set<Tuple, TupleHash> dedup;  // kReferenceHash membership.
+    ColumnStore store;
     // Generalized access paths, registered/built on demand per mask.
     mutable std::unordered_map<ColumnMask, ColumnIndex> column_indexes;
     // Bumped on every mutation; sorted permutations cache it so an
@@ -455,12 +407,6 @@ class Database {
     const RowId* rows = nullptr;                 // kRange
     size_t count = 0;                            // kRange
   };
-
-  size_t RelationSize(const Relation& rel) const {
-    return backend_ == StorageBackend::kColumnar
-               ? static_cast<size_t>(rel.store.size())
-               : rel.tuples.size();
-  }
 
   /// `ci_cache`, when non-null, caches the mask's ColumnIndex slot
   /// across repeated probes of the same (relation, mask): a cached
@@ -495,12 +441,17 @@ class Database {
   /// lazily from scratch on the next unsealed probe.
   void DropRelationIndexes(const Relation& rel);
 
+  /// Exact bytes of the arrays a sorted seal builds for `ci`.
+  static int64_t SortedBytes(const ColumnIndex& ci) {
+    return static_cast<int64_t>(ci.perm.capacity()) * sizeof(RowId) +
+           static_cast<int64_t>(ci.keys.capacity()) * sizeof(ConstId) +
+           static_cast<int64_t>(ci.starts.capacity()) * sizeof(uint32_t);
+  }
+
   /// Bytes currently charged to `ci` in approx_bytes_.
   static int64_t IndexBytes(const ColumnIndex& ci) {
     return kApproxIndexEntryBytes * static_cast<int64_t>(ci.built_upto) +
-           static_cast<int64_t>(ci.perm.capacity()) * sizeof(RowId) +
-           static_cast<int64_t>(ci.keys.capacity()) * sizeof(ConstId) +
-           static_cast<int64_t>(ci.starts.capacity()) * sizeof(uint32_t);
+           SortedBytes(ci);
   }
 
   /// Relation storage. The wrapper bumps the cursor epoch whenever the
@@ -530,7 +481,6 @@ class Database {
   static inline std::atomic<uint64_t> cursor_epoch_{1};
 
   std::shared_ptr<SymbolTable> symbols_;
-  StorageBackend backend_;
   RelationMap relations_;
   std::unordered_set<ConstId> constants_;
   std::unordered_map<ConstId, int64_t> constant_refs_;
@@ -556,7 +506,7 @@ class Database {
   /// would visit — same probe (and probe counters), same order, same
   /// snapshot bound — for callers that interleave other work between
   /// rows (the bytecode executor's backtracking join). Column access is
-  /// per-cell, so no Tuple is materialized on the columnar backend.
+  /// per-cell, so no Tuple is materialized.
   class Scan {
    public:
     Scan() = default;
@@ -585,7 +535,6 @@ class Database {
         bound_ci_ = nullptr;
         auto it = db.relations_.find(pred);
         bound_rel_ = it == db.relations_.end() ? nullptr : &it->second;
-        columnar_ = db.backend_ == StorageBackend::kColumnar;
       }
       rel_ = bound_rel_;
       if (rel_ == nullptr) return;
@@ -617,7 +566,7 @@ class Database {
             break;  // Degrade to the full scan below.
         }
       }
-      count_ = db.RelationSize(*rel_);
+      count_ = static_cast<size_t>(rel_->store.size());
     }
 
     bool AtEnd() const { return pos_ >= count_; }
@@ -646,28 +595,10 @@ class Database {
       }
     }
 
-    ConstId Col(size_t c) const {
-      const RowId row = CurrentId();
-      return columnar_ ? rel_->store.At(row, c) : rel_->tuples[row][c];
-    }
-
-    /// Lightweight row view over the current cursor position (size() +
-    /// operator[]), for HashRowLike / Contains / TupleVisible. Pins the
-    /// row id at construction: one mode dispatch per row, direct column
-    /// loads after.
-    struct Row {
-      const Relation* rel;
-      RowId row;
-      bool columnar;
-      size_t width;
-      size_t size() const { return width; }
-      ConstId operator[](size_t i) const {
-        return columnar ? rel->store.At(row, i) : rel->tuples[row][i];
-      }
-    };
-    Row CurrentRow(size_t arity) const {
-      return Row{rel_, CurrentId(), columnar_, arity};
-    }
+    /// The row at the cursor position, for HashRowLike / Contains /
+    /// TupleVisible. Pins the row id: one mode dispatch per row, direct
+    /// column loads after.
+    RowRef CurrentRow() const { return RowRef(&rel_->store, CurrentId()); }
 
    private:
     enum class Mode : uint8_t { kFull, kBucket, kRange };
@@ -677,7 +608,6 @@ class Database {
     size_t pos_ = 0;
     size_t count_ = 0;
     Mode mode_ = Mode::kFull;
-    bool columnar_ = false;
     bool index_served_ = false;
     // Binding cache, revalidated against CursorEpoch on every Open.
     const Database* bound_db_ = nullptr;

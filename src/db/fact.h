@@ -14,8 +14,8 @@ namespace hypo {
 using Tuple = std::vector<ConstId>;
 
 /// Hashes anything tuple-shaped (size() + operator[] over ConstId): a
-/// materialized Tuple or a columnar RowRef. One definition so both
-/// storage backends agree on every row's hash bit-for-bit.
+/// materialized Tuple or a columnar RowRef. One definition so a stored
+/// row and an equal Tuple always hash alike.
 template <typename Row>
 uint64_t HashRowLike(const Row& row) {
   uint64_t h = row.size();

@@ -39,8 +39,8 @@ class Binding {
   /// variables. On success returns true and appends newly bound variables
   /// to `trail` (so the caller can undo them); on failure the binding is
   /// left exactly as it was. `Row` is anything tuple-shaped — a
-  /// materialized Tuple or a columnar RowRef — so callers monomorphize
-  /// per storage backend instead of rebuilding Tuples.
+  /// materialized Tuple or a columnar RowRef — so callers match stored
+  /// rows without rebuilding Tuples.
   template <typename Row>
   bool MatchTuple(const Atom& atom, const Row& tuple,
                   std::vector<VarIndex>* trail) {

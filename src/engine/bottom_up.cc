@@ -389,7 +389,7 @@ StatusOr<BottomUpEngine::State*> BottomUpEngine::EnsureState(
     const std::vector<Fact>& seeds, bool may_seal_base, const State* lower) {
   std::unique_ptr<State>& slot = states_[ckey];
   if (slot == nullptr) {
-    slot = std::make_unique<State>(base_->symbols_ptr(), base_->backend());
+    slot = std::make_unique<State>(base_->symbols_ptr());
     slot->key = key;
     slot->added_set.insert(key.begin(), key.end());
     StoreAdditions(slot.get());
@@ -486,8 +486,8 @@ Status BottomUpEngine::DeriveChild(State* child, const State* lower) {
   Status status = [&]() -> Status {
     // The additions the base model does not already hold are the child's
     // net insertions; one it derives stays visible and becomes stored.
-    Database ins(base_->symbols_ptr(), base_->backend());
-    Database del(base_->symbols_ptr(), base_->backend());
+    Database ins(base_->symbols_ptr());
+    Database del(base_->symbols_ptr());
     child->ext.ForEach([&](const Fact& f) {
       if (!lower->ext.Contains(f)) ins.Insert(f);
     });
@@ -508,8 +508,8 @@ void BottomUpEngine::ResetToAdditions(State* state) {
   const int64_t before = StateBytes(*state);
   retired_index_builds_ +=
       state->ext.index_builds() + state->hidden.index_builds();
-  state->ext = Database(base_->symbols_ptr(), base_->backend());
-  state->hidden = Database(base_->symbols_ptr(), base_->backend());
+  state->ext = Database(base_->symbols_ptr());
+  state->hidden = Database(base_->symbols_ptr());
   state->lower = nullptr;
   StoreAdditions(state);
   tracked_bytes_ += StateBytes(*state) - before;
@@ -617,8 +617,8 @@ Status BottomUpEngine::ComputeStratum(State* state, int stratum) {
   // the new tuples themselves, rotated per round.
   std::unordered_set<PredicateId> changed_last;
   std::unordered_set<PredicateId> changed_now;
-  Database delta(base_->symbols_ptr(), base_->backend());
-  Database next_delta(base_->symbols_ptr(), base_->backend());
+  Database delta(base_->symbols_ptr());
+  Database next_delta(base_->symbols_ptr());
   bool first_round = true;
   while (true) {
     ++stats_.fixpoint_rounds;
@@ -637,7 +637,7 @@ Status BottomUpEngine::ComputeStratum(State* state, int stratum) {
     if (changed_now.empty()) break;
     retired_index_builds_ += delta.index_builds();
     delta = std::move(next_delta);
-    next_delta = Database(base_->symbols_ptr(), base_->backend());
+    next_delta = Database(base_->symbols_ptr());
     changed_last = std::move(changed_now);
     changed_now.clear();
     first_round = false;
@@ -951,8 +951,8 @@ Status BottomUpEngine::MaybeReplanForCardinality() {
 void BottomUpEngine::AttachMemoBoard(MemoBoard* board) { board_ = board; }
 
 Status BottomUpEngine::RepairBaseModel(State* state, const BaseDelta& delta) {
-  Database ins(base_->symbols_ptr(), base_->backend());
-  Database del(base_->symbols_ptr(), base_->backend());
+  Database ins(base_->symbols_ptr());
+  Database del(base_->symbols_ptr());
   for (const Fact& f : delta.inserts) {
     if (state->ext.Contains(f)) {
       // Already derived: the fact moves from "derived" to "stored" with
@@ -1092,15 +1092,15 @@ Status BottomUpEngine::RepairStratumIncremental(State* state, int stratum,
   // model (plus = deletions so far, minus = insertions so far); same-
   // stratum overdeleted facts are still physically present until the
   // fixpoint completes, so they stay visible here too.
-  Database overdeleted(base_->symbols_ptr(), base_->backend());
+  Database overdeleted(base_->symbols_ptr());
   {
-    Database round(base_->symbols_ptr(), base_->backend());
+    Database round(base_->symbols_ptr());
     del->ForEach([&](const Fact& f) {
       if (pos_preds.count(f.predicate) > 0) round.Insert(f);
     });
     const Database* neg_round = negated_delta_in(ins);
     while (!round.empty() || neg_round != nullptr) {
-      Database next(base_->symbols_ptr(), base_->backend());
+      Database next(base_->symbols_ptr());
       HYPO_RETURN_IF_ERROR(run_versions(
           round, neg_round, /*plus=*/del, /*minus=*/ins,
           [&](const Fact& h) -> StatusOr<bool> {
@@ -1149,8 +1149,8 @@ Status BottomUpEngine::RepairStratumIncremental(State* state, int stratum,
   // Rederivation: overdeleted facts — and this stratum's retracted base
   // facts — that still have a derivation in the pruned model survive the
   // epoch. Late restorations cascade through the insertion rounds below.
-  Database restored(base_->symbols_ptr(), base_->backend());
-  Database reinserted(base_->symbols_ptr(), base_->backend());
+  Database restored(base_->symbols_ptr());
+  Database reinserted(base_->symbols_ptr());
   std::vector<Fact> candidates;
   overdeleted.ForEach([&](const Fact& f) { candidates.push_back(f); });
   del->ForEach([&](const Fact& f) {
@@ -1176,20 +1176,20 @@ Status BottomUpEngine::RepairStratumIncremental(State* state, int stratum,
   // against the CURRENT model. The deletions are copied: the rounds edit
   // del.
   {
-    Database round(base_->symbols_ptr(), base_->backend());
+    Database round(base_->symbols_ptr());
     ins->ForEach([&](const Fact& f) {
       if (pos_preds.count(f.predicate) > 0) round.Insert(f);
     });
     reinserted.ForEach([&](const Fact& f) {
       if (pos_preds.count(f.predicate) > 0) round.Insert(f);
     });
-    Database negated_del(base_->symbols_ptr(), base_->backend());
+    Database negated_del(base_->symbols_ptr());
     del->ForEach([&](const Fact& f) {
       if (neg_preds.count(f.predicate) > 0) negated_del.Insert(f);
     });
     const Database* neg_round = negated_delta_in(&negated_del);
     while (!round.empty() || neg_round != nullptr) {
-      Database next(base_->symbols_ptr(), base_->backend());
+      Database next(base_->symbols_ptr());
       HYPO_RETURN_IF_ERROR(run_versions(
           round, neg_round, /*plus=*/nullptr, /*minus=*/nullptr,
           [&](const Fact& h) -> StatusOr<bool> {

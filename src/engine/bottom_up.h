@@ -146,8 +146,8 @@ class BottomUpEngine : public Engine {
     const State* lower = nullptr;
     Database hidden;
 
-    State(std::shared_ptr<SymbolTable> symbols, StorageBackend backend)
-        : ext(symbols, backend), hidden(std::move(symbols), backend) {}
+    explicit State(std::shared_ptr<SymbolTable> symbols)
+        : ext(symbols), hidden(std::move(symbols)) {}
   };
 
   /// A rule version that designates a NEGATED premise `~q(t̄)` over a
@@ -422,8 +422,8 @@ class BottomUpEngine : public Engine {
 
   /// The VM's host: storage segments, premise tests and metering. A
   /// nested class (rather than a function-local one) because it needs a
-  /// member template — AcceptRow sees both Database::Scan::Row and Tuple
-  /// rows — which local classes cannot declare. Defined in bottom_up.cc.
+  /// member template — AcceptRow sees both RowRef and Tuple rows — which
+  /// local classes cannot declare. Defined in bottom_up.cc.
   template <typename EmitFn>
   struct VmHost;
 

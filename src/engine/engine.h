@@ -97,8 +97,8 @@ struct EngineStats {
   int64_t join_probes = 0;        // Candidate tuples offered to matching.
   int64_t index_builds = 0;       // Distinct (predicate, mask) indexes built.
 
-  // Columnar storage & sorted permutation indexes (src/db columnar
-  // backend; see DESIGN.md "Columnar storage & sorted indexes").
+  // Columnar storage & sorted permutation indexes (src/db; see
+  // DESIGN.md "Columnar storage & sorted indexes").
   int64_t sorted_probes = 0;      // Probes answered by sorted-range lookup.
   int64_t merge_join_rows = 0;    // Rows yielded from sorted probe ranges.
   int64_t index_sort_micros = 0;  // Wall time sorting permutation indexes.

@@ -39,9 +39,8 @@ inline ColumnMask BoundSignature(const Atom& atom, const Binding& binding,
 /// that can possibly match: the index subset for the full bound-column
 /// signature when any column is bound (a sorted range or hash bucket,
 /// per Database::ForEachCandidate), the full relation otherwise. `row`
-/// is backend-native — const Tuple& on the reference backend, a columnar
-/// RowRef otherwise — so `fn` must be a generic lambda; it returns false
-/// to stop, and ForEachBaseCandidate then returns false.
+/// is a RowRef; `fn` returns false to stop, and ForEachBaseCandidate
+/// then returns false.
 ///
 /// Snapshot-bounded and realloc-safe per ForEachCandidate's contract:
 /// `fn` may insert into the same relation while the scan is in flight.

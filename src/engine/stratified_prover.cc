@@ -562,7 +562,7 @@ StatusOr<const Database*> StratifiedProver::DeltaModelFor(int stratum_i) {
     stats_.stratum_micros.resize(stratum_i, 0);
   }
   Stopwatch stratum_timer;
-  auto ext = std::make_unique<Database>(base_->symbols_ptr(), base_->backend());
+  auto ext = std::make_unique<Database>(base_->symbols_ptr());
   Database* model = ext.get();
   const int partition = 2 * stratum_i - 1;
 

@@ -223,7 +223,7 @@ StatusOr<bool> Run(const Program& prog, Host* host,
             const std::vector<MatchAction>& actions =
                 seg.scan.index_served() ? op.post : op.full;
             while (!seg.scan.AtEnd()) {
-              const Database::Scan::Row row = seg.scan.CurrentRow(op.arity);
+              const RowRef row = seg.scan.CurrentRow();
               const bool ok = host->AcceptRow(op, row) &&
                               MatchActions(actions, row, regs);
               seg.scan.Next();

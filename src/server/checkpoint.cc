@@ -49,8 +49,7 @@ bool IsJournalName(const std::string& name) {
          name.compare(name.size() - 4, 4, ".log") == 0;
 }
 
-StatusOr<RecoveredState> LoadCheckpoint(const std::string& path,
-                                        StorageBackend backend) {
+StatusOr<RecoveredState> LoadCheckpoint(const std::string& path) {
   auto bytes_or = ReadFileToString(path);
   if (!bytes_or.ok()) return bytes_or.status();
   const std::string& bytes = *bytes_or;
@@ -137,7 +136,7 @@ StatusOr<RecoveredState> LoadCheckpoint(const std::string& path,
   if (r.remaining() != 0) {
     return Status::DataLoss("checkpoint " + path + " has trailing bytes");
   }
-  state.base = std::make_unique<Database>(state.symbols, backend);
+  state.base = std::make_unique<Database>(state.symbols);
   Status s = state.base->DeserializeRelations(*relations);
   if (!s.ok()) {
     return Status::DataLoss("checkpoint " + path +
@@ -219,8 +218,10 @@ Status WriteCheckpoint(const std::string& dir, uint64_t epoch,
   return Status::OK();
 }
 
+// The unnamed parameter exists only because serverbench/driver.cc passes
+// Database::DefaultBackend(); there is one storage layout.
 StatusOr<RecoveredState> RecoverDataDir(const std::string& dir,
-                                        StorageBackend backend) {
+                                        StorageBackend) {
   Status s = EnsureDir(dir);
   if (!s.ok()) return s;
   auto names = ListDir(dir);
@@ -245,7 +246,7 @@ StatusOr<RecoveredState> RecoverDataDir(const std::string& dir,
     return state;  // Fresh directory: no committed state.
   }
 
-  auto loaded = LoadCheckpoint(CheckpointPath(dir, best), backend);
+  auto loaded = LoadCheckpoint(CheckpointPath(dir, best));
   if (!loaded.ok()) return loaded.status();
   state = std::move(*loaded);
   if (state.checkpoint_epoch != best) {

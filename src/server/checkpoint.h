@@ -68,10 +68,10 @@ struct RecoveredState {
 /// Scans `dir` for the highest-epoch checkpoint, validates it, loads it,
 /// and replays its journal tail. DataLoss when the newest checkpoint or
 /// any non-final journal record is damaged; a torn final journal record
-/// is dropped (and counted), not an error. `backend` picks the storage
-/// backend for the rebuilt base database.
-StatusOr<RecoveredState> RecoverDataDir(const std::string& dir,
-                                        StorageBackend backend);
+/// is dropped (and counted), not an error. The unused second parameter
+/// exists only because serverbench/driver.cc passes one.
+StatusOr<RecoveredState> RecoverDataDir(
+    const std::string& dir, StorageBackend = StorageBackend::kColumnar);
 
 /// Removes superseded durable files: checkpoints below `keep_epoch`,
 /// journals other than `keep_epoch`'s, and stray `.tmp` files. Best

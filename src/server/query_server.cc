@@ -74,8 +74,7 @@ StatusOr<std::unique_ptr<QueryServer>> QueryServer::Create(
   std::unique_ptr<QueryServer> server;
   bool fresh_data_dir = false;
   if (!dur.data_dir.empty()) {
-    auto recovered =
-        RecoverDataDir(dur.data_dir, Database::DefaultBackend());
+    auto recovered = RecoverDataDir(dur.data_dir);
     if (!recovered.ok()) return recovered.status();
     if (recovered->have_checkpoint) {
       // The persisted program is authoritative: the checkpointed

@@ -282,9 +282,7 @@ TEST_F(DbTest, ProbeIndexExtendsLazilyAsRelationGrows) {
 }
 
 TEST_F(DbTest, SortedSealAnswersProbesFromPermutation) {
-  // Explicitly columnar: sorted permutations are a columnar-only path,
-  // and the suite may run with HYPO_STORAGE=hash flipping the default.
-  Database db(symbols_, StorageBackend::kColumnar);
+  Database db(symbols_);
   db.Insert(MakeFact("edge", {"c", "d"}));
   db.Insert(MakeFact("edge", {"a", "b"}));
   db.Insert(MakeFact("edge", {"a", "e"}));
@@ -315,7 +313,7 @@ TEST_F(DbTest, SortedSealAnswersProbesFromPermutation) {
 }
 
 TEST_F(DbTest, SortedIndexSurvivesUnsealResealCycles) {
-  Database db(symbols_, StorageBackend::kColumnar);
+  Database db(symbols_);
   db.Insert(MakeFact("edge", {"a", "b"}));
   PredicateId edge = symbols_->FindPredicate("edge");
   ConstId a = symbols_->FindConst("a");
@@ -354,38 +352,29 @@ TEST_F(DbTest, SortedIndexSurvivesUnsealResealCycles) {
             "c");
 }
 
-TEST_F(DbTest, BackendsAgreeOnProbesAndOrder) {
-  Database col_db(symbols_, StorageBackend::kColumnar);
-  Database hash_db(symbols_, StorageBackend::kReferenceHash);
-  ASSERT_EQ(col_db.backend(), StorageBackend::kColumnar);
-  ASSERT_EQ(hash_db.backend(), StorageBackend::kReferenceHash);
-
+TEST_F(DbTest, SortedRangesAndBucketsAgreeOnRowIds) {
+  // The same rows behind the two access paths: `bucket_db` serves its
+  // sealed probes from hash buckets, `sorted_db` from sorted permutation
+  // ranges. Both must answer with the same row ids in the same order,
+  // sealed or not.
+  Database bucket_db(symbols_);
+  Database sorted_db(symbols_);
+  sorted_db.EnableSortedIndexes();
   std::vector<Fact> facts = {
       MakeFact("edge", {"c", "d"}), MakeFact("edge", {"a", "b"}),
       MakeFact("edge", {"a", "e"}), MakeFact("edge", {"b", "b"}),
       MakeFact("p", {"a"})};
   for (const Fact& f : facts) {
-    ASSERT_TRUE(col_db.Insert(f));
-    ASSERT_TRUE(hash_db.Insert(f));
+    ASSERT_TRUE(bucket_db.Insert(f));
+    ASSERT_TRUE(sorted_db.Insert(f));
   }
   PredicateId edge = symbols_->FindPredicate("edge");
   ConstId a = symbols_->FindConst("a");
   ConstId b = symbols_->FindConst("b");
 
-  // Same tuples in the same insertion order.
-  const Database::RowsView cols = col_db.TuplesFor(edge);
-  const Database::RowsView rows = hash_db.TuplesFor(edge);
-  ASSERT_EQ(cols.size(), rows.size());
-  for (size_t i = 0; i < cols.size(); ++i) {
-    EXPECT_EQ(cols.TupleAt(i), rows.TupleAt(i));
-  }
-
-  // Probes resolve to the same row ids in the same order, sealed (with
-  // sorted indexes on the columnar side) or unsealed.
   for (int sealed = 0; sealed < 2; ++sealed) {
     if (sealed) {
-      col_db.EnableSortedIndexes();
-      for (Database* d : {&col_db, &hash_db}) {
+      for (Database* d : {&bucket_db, &sorted_db}) {
         d->PrepareIndex(edge, 0b1);
         d->PrepareIndex(edge, 0b10);
         d->SealIndexes();
@@ -393,9 +382,10 @@ TEST_F(DbTest, BackendsAgreeOnProbesAndOrder) {
     }
     for (ColumnMask mask : {ColumnMask{0b1}, ColumnMask{0b10}}) {
       for (ConstId key : {a, b}) {
-        Database::RowRange lhs = col_db.ProbeIndex(edge, mask, {key});
-        Database::RowRange rhs = hash_db.ProbeIndex(edge, mask, {key});
-        ASSERT_EQ(lhs.scan_all, rhs.scan_all);
+        Database::RowRange lhs = bucket_db.ProbeIndex(edge, mask, {key});
+        Database::RowRange rhs = sorted_db.ProbeIndex(edge, mask, {key});
+        ASSERT_FALSE(lhs.scan_all);
+        ASSERT_FALSE(rhs.scan_all);
         ASSERT_EQ(lhs.count, rhs.count);
         for (size_t i = 0; i < lhs.count; ++i) {
           EXPECT_EQ(lhs.data[i], rhs.data[i]);
@@ -403,37 +393,34 @@ TEST_F(DbTest, BackendsAgreeOnProbesAndOrder) {
       }
     }
   }
-  EXPECT_GT(col_db.ArenaBytes(), 0) << "columnar tracks its arena";
-  EXPECT_EQ(hash_db.ArenaBytes(), 0) << "reference backend has no arena";
+  EXPECT_GT(sorted_db.sorted_probes(), 0) << "the seal sorted the indexes";
+  EXPECT_EQ(bucket_db.sorted_probes(), 0) << "no seal sorts without opt-in";
 }
 
-TEST_F(DbTest, ReferenceHashBackendRetractAndClearRelation) {
-  Database db(symbols_, StorageBackend::kReferenceHash);
-  Fact ab = MakeFact("edge", {"a", "b"});
-  Fact bc = MakeFact("edge", {"b", "c"});
-  db.Insert(ab);
-  db.Insert(bc);
-  db.Insert(MakeFact("p", {"d"}));
-  ASSERT_EQ(db.constants().size(), 4u);
-
-  EXPECT_TRUE(db.Retract(ab));
-  // Satellite regression: the tracked constant domain shrinks exactly —
-  // "a" lost its last reference, "b" survives via bc.
-  EXPECT_EQ(db.constants().count(symbols_->FindConst("a")), 0u);
-  EXPECT_EQ(db.constants().count(symbols_->FindConst("b")), 1u);
-
+TEST_F(DbTest, ArenaBytesCountsEverySortedSealArray) {
+  // Right after a sorted seal no hash bucket is left, so the estimate
+  // and the exact arena figure must agree: perm, keys and starts are all
+  // charged to both.
+  Database db(symbols_);
+  db.EnableSortedIndexes();
+  for (int i = 0; i < 200; ++i) {
+    db.Insert(MakeFact("edge", {"n" + std::to_string(i % 37),
+                                "n" + std::to_string(i)}));
+  }
   PredicateId edge = symbols_->FindPredicate("edge");
-  EXPECT_EQ(db.ClearRelation(edge), 1);
-  EXPECT_EQ(db.constants().count(symbols_->FindConst("b")), 0u);
-  EXPECT_EQ(db.constants().count(symbols_->FindConst("c")), 0u);
-  EXPECT_EQ(db.constants().size(), 1u) << "only p(d)'s constant remains";
-  EXPECT_EQ(db.size(), 1);
+  for (ColumnMask mask : {ColumnMask{0b01}, ColumnMask{0b10},
+                          ColumnMask{0b11}}) {
+    db.PrepareIndex(edge, mask);
+  }
+  db.SealIndexes();
+  EXPECT_GT(db.ArenaBytes(), 0);
+  EXPECT_EQ(db.ArenaBytes(), db.ApproxBytes());
 }
 
 TEST_F(DbTest, ColumnarConstantDomainShrinksAfterRetract) {
-  // Same regression on the columnar default: retracting the last tuple
-  // mentioning a constant must drop it from constants() so ComputeDomain
-  // (Definition 3) shrinks with the database.
+  // Retracting the last tuple mentioning a constant must drop it from
+  // constants() so ComputeDomain (Definition 3) shrinks with the
+  // database.
   Fact ab = MakeFact("edge", {"a", "b"});
   Fact aa = MakeFact("edge", {"a", "a"});
   db_.Insert(ab);
@@ -448,20 +435,16 @@ TEST_F(DbTest, ColumnarConstantDomainShrinksAfterRetract) {
   EXPECT_TRUE(db_.constants().empty());
 }
 
-TEST_F(DbTest, ZeroArityRelationAcrossBackends) {
-  for (StorageBackend backend :
-       {StorageBackend::kColumnar, StorageBackend::kReferenceHash}) {
-    Database db(symbols_, backend);
-    Fact yes = MakeFact("yes", {});
-    EXPECT_FALSE(db.Contains(yes));
-    EXPECT_TRUE(db.Insert(yes));
-    EXPECT_TRUE(db.Contains(yes));
-    EXPECT_FALSE(db.Insert(yes));
-    EXPECT_EQ(db.TuplesFor(yes.predicate).size(), 1u);
-    EXPECT_TRUE(db.Retract(yes));
-    EXPECT_FALSE(db.Contains(yes));
-    EXPECT_EQ(db.size(), 0);
-  }
+TEST_F(DbTest, ZeroArityRelation) {
+  Fact yes = MakeFact("yes", {});
+  EXPECT_FALSE(db_.Contains(yes));
+  EXPECT_TRUE(db_.Insert(yes));
+  EXPECT_TRUE(db_.Contains(yes));
+  EXPECT_FALSE(db_.Insert(yes));
+  EXPECT_EQ(db_.TuplesFor(yes.predicate).size(), 1u);
+  EXPECT_TRUE(db_.Retract(yes));
+  EXPECT_FALSE(db_.Contains(yes));
+  EXPECT_EQ(db_.size(), 0);
 }
 
 TEST_F(DbTest, FactToStringFormats) {

@@ -4,6 +4,8 @@
 // randomized recovery-vs-oracle differential across engines (DESIGN.md
 // "Durability & recovery").
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -35,10 +37,13 @@ edge(b, c).
 )";
 
 /// Fresh per-test scratch directory (removed up front so a rerun never
-/// sees a previous run's files).
+/// sees a previous run's files). The process id keeps concurrent test
+/// processes apart: parameterized cases share a tag, and the counter
+/// restarts at 0 in every process.
 std::string FreshDir(const std::string& tag) {
   static std::atomic<int> counter{0};
   std::string dir = ::testing::TempDir() + "hypo_durability_" + tag + "_" +
+                    std::to_string(getpid()) + "_" +
                     std::to_string(counter.fetch_add(1));
   std::filesystem::remove_all(dir);
   return dir;

@@ -23,9 +23,8 @@ namespace {
 
 // Structural invariants of BodyPlan (the contract the bytecode compiler
 // relies on), checked over random programs, plus a differential fuzz of
-// the three engines × storage backends against the reference evaluator
-// (reference_eval.h), which shares no planner, VM or storage code with
-// them.
+// the three engines against the reference evaluator (reference_eval.h),
+// which shares no planner, VM or storage code with them.
 
 /// The statically-bound probe signature `step` should carry: column i is
 /// fixed iff argument i is a constant or a variable bound by an earlier
@@ -228,11 +227,11 @@ TEST(PlanTest, CompiledBytecodeAgreesWithPlan) {
 
 /// Runs `count` random programs of one mix through every engine
 /// configuration — tabled; bottom-up; stratified when linearly
-/// stratifiable — on both storage backends, and compares
-/// DeriveAll (the head-bound rule programs) and AnswerAll (the per-query
-/// compile path) with the reference evaluator over the same pinned
-/// domain. Returns the number of programs every configuration compared
-/// on; a resource skip on any side drops the program.
+/// stratifiable — and compares DeriveAll (the head-bound rule programs)
+/// and AnswerAll (the per-query compile path) with the reference
+/// evaluator over the same pinned domain. Returns the number of
+/// programs every configuration compared on; a resource skip on any side
+/// drops the program.
 int CompareWithReference(const RandomProgramOptions& options,
                          uint64_t first_seed, int count) {
   int compared = 0;
@@ -271,28 +270,22 @@ int CompareWithReference(const RandomProgramOptions& options,
       EXPECT_EQ(*facts, *ref_facts) << label << ": DeriveAll diverged";
       EXPECT_EQ(*answers, *ref_answers) << label << ": AnswerAll diverged";
     };
-    const bool linear = CheckLinearlyStratifiable(fixture.rules).ok();
-    for (StorageBackend backend :
-         {StorageBackend::kColumnar, StorageBackend::kReferenceHash}) {
-      Database db(fixture.symbols, backend);
-      fixture.db.ForEach([&](const Fact& f) { db.Insert(f); });
-      const std::string storage =
-          backend == StorageBackend::kColumnar ? "/columnar" : "/hash";
-      EngineOptions o;
-      o.max_states = 40'000;
-      o.max_steps = 3'000'000;
-      {
-        TabledEngine engine(&fixture.rules, &db, o);
-        check(&engine, "tabled" + storage);
-      }
-      {
-        BottomUpEngine engine(&fixture.rules, &db, o);
-        check(&engine, "bottomup" + storage);
-      }
-      if (linear) {
-        StratifiedProver engine(&fixture.rules, &db, o);
-        check(&engine, "stratified" + storage);
-      }
+    Database db(fixture.symbols);
+    fixture.db.ForEach([&](const Fact& f) { db.Insert(f); });
+    EngineOptions o;
+    o.max_states = 40'000;
+    o.max_steps = 3'000'000;
+    {
+      TabledEngine engine(&fixture.rules, &db, o);
+      check(&engine, "tabled");
+    }
+    {
+      BottomUpEngine engine(&fixture.rules, &db, o);
+      check(&engine, "bottomup");
+    }
+    if (CheckLinearlyStratifiable(fixture.rules).ok()) {
+      StratifiedProver engine(&fixture.rules, &db, o);
+      check(&engine, "stratified");
     }
     if (all_compared) ++compared;
   }

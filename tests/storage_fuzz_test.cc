@@ -1,67 +1,79 @@
-#include <cstdlib>
+#include <algorithm>
+#include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "analysis/stratification.h"
-#include "ast/printer.h"
 #include "base/random.h"
-#include "engine/bottom_up.h"
-#include "engine/stratified_prover.h"
-#include "engine/tabled.h"
-#include "workload/random_programs.h"
+#include "db/database.h"
 
 namespace hypo {
 namespace {
 
-// Differential fuzzing of the two storage backends (columnar flat
-// storage vs the reference hash path): identical contents, identical
-// probe answers in identical order, identical engine results, across
-// insert/retract interleavings and Seal/Unseal/epoch cycles.
+// Differential fuzzing of Database against a test-local model: per
+// predicate, the live tuples in insertion order — the order Retract's
+// order-preserving contract promises. Two databases run in lockstep
+// through random insert/retract interleavings and Seal/Unseal epoch
+// cycles: one seals sorted permutation indexes, the other serves its
+// sealed probes from hash buckets. Contents, constants(), and every probe
+// answer (rows and their order) are computed from the model alone.
 
-Database CopyWithBackend(const Database& src,
-                         std::shared_ptr<SymbolTable> symbols,
-                         StorageBackend backend) {
-  Database out(std::move(symbols), backend);
-  src.ForEach([&](const Fact& f) { out.Insert(f); });
-  return out;
+using Model = std::map<PredicateId, std::vector<Tuple>>;
+
+bool MatchesKey(const Tuple& t, ColumnMask mask, const Tuple& key) {
+  size_t k = 0;
+  for (size_t col = 0; col < t.size(); ++col) {
+    if (((mask >> col) & 1u) && t[col] != key[k++]) return false;
+  }
+  return true;
 }
 
-/// Every tuple of `pred` whose `mask` columns equal `key`, by full scan
-/// in insertion order — the specification ProbeIndex must match.
-std::vector<Tuple> BruteForceProbe(const Database& db, PredicateId pred,
-                                   ColumnMask mask, const Tuple& key) {
+/// The model's answer to a probe: every live tuple of `pred` whose `mask`
+/// columns equal `key`, in insertion order.
+std::vector<Tuple> ModelProbe(const Model& model, PredicateId pred,
+                              ColumnMask mask, const Tuple& key) {
   std::vector<Tuple> out;
-  const Database::RowsView rows = db.TuplesFor(pred);
-  for (size_t r = 0; r < rows.size(); ++r) {
-    Tuple t = rows.TupleAt(r);
-    size_t k = 0;
-    bool match = true;
-    for (size_t col = 0; col < t.size(); ++col) {
-      if ((mask >> col) & 1u) {
-        if (t[col] != key[k++]) {
-          match = false;
-          break;
-        }
-      }
-    }
-    if (match) out.push_back(std::move(t));
+  auto it = model.find(pred);
+  if (it == model.end()) return out;
+  for (const Tuple& t : it->second) {
+    if (MatchesKey(t, mask, key)) out.push_back(t);
   }
   return out;
 }
 
+std::unordered_set<ConstId> ModelConstants(const Model& model) {
+  std::unordered_set<ConstId> out;
+  for (const auto& [pred, tuples] : model) {
+    (void)pred;
+    for (const Tuple& t : tuples) out.insert(t.begin(), t.end());
+  }
+  return out;
+}
+
+std::vector<Tuple> Rows(const Database& db, PredicateId pred) {
+  std::vector<Tuple> out;
+  const Database::RowsView rows = db.TuplesFor(pred);
+  for (size_t r = 0; r < rows.size(); ++r) out.push_back(rows.TupleAt(r));
+  return out;
+}
+
 /// Resolves a ProbeIndex answer to materialized tuples; a ScanAllMarker
-/// resolves through the brute-force scan (that is its contract).
+/// resolves through a filtered scan of the database's rows (that is its
+/// contract).
 std::vector<Tuple> ResolveProbe(const Database& db, PredicateId pred,
                                 ColumnMask mask, const Tuple& key) {
   Database::RowRange range = db.ProbeIndex(pred, mask, key);
-  if (range.scan_all) return BruteForceProbe(db, pred, mask, key);
   std::vector<Tuple> out;
+  if (range.scan_all) {
+    for (Tuple& t : Rows(db, pred)) {
+      if (MatchesKey(t, mask, key)) out.push_back(std::move(t));
+    }
+    return out;
+  }
   const Database::RowsView rows = db.TuplesFor(pred);
-  out.reserve(range.count);
   for (size_t i = 0; i < range.count; ++i) {
     out.push_back(rows.TupleAt(static_cast<size_t>(range.data[i])));
   }
@@ -78,9 +90,9 @@ Fact RandomFact(const SymbolTable& symbols, PredicateId pred, int num_consts,
   return f;
 }
 
-/// Both backends, driven through the same random insert/retract
-/// interleaving with Seal/Unseal epoch cycles, must agree with each
-/// other and with the brute-force scan on every probe.
+/// Both databases, driven through the same random insert/retract
+/// interleaving with Seal/Unseal epoch cycles, must hold the model's rows
+/// in the model's order and answer every probe as the model does.
 TEST(StorageFuzzTest, ProbesMatchBruteForceAcrossInterleavings) {
   constexpr int kNumConsts = 6;
   for (uint64_t seed = 0; seed < 25; ++seed) {
@@ -94,39 +106,57 @@ TEST(StorageFuzzTest, ProbesMatchBruteForceAcrossInterleavings) {
     for (int c = 0; c < kNumConsts; ++c) {
       symbols->InternConst("c" + std::to_string(c));
     }
-    Database columnar(symbols, StorageBackend::kColumnar);
-    Database hash(symbols, StorageBackend::kReferenceHash);
-
+    Database sorted(symbols);
+    sorted.EnableSortedIndexes();
+    Database bucket(symbols);
+    Model model;
     std::vector<Fact> live;
+
     for (int step = 0; step < 120; ++step) {
-      // Mutate both databases identically.
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      // Mutate the model and both databases identically.
       if (!live.empty() && rng.Bernoulli(0.35)) {
         size_t victim = rng.Uniform(live.size());
         Fact f = live[victim];
         live.erase(live.begin() + victim);
-        ASSERT_TRUE(columnar.Retract(f));
-        ASSERT_TRUE(hash.Retract(f));
+        std::vector<Tuple>& tuples = model[f.predicate];
+        tuples.erase(std::find(tuples.begin(), tuples.end(), f.args));
+        ASSERT_TRUE(sorted.Retract(f));
+        ASSERT_TRUE(bucket.Retract(f));
       } else {
         PredicateId pred = preds[rng.Uniform(preds.size())];
         Fact f = RandomFact(*symbols, pred, kNumConsts, &rng);
-        bool fresh = columnar.Insert(f);
-        ASSERT_EQ(fresh, hash.Insert(f)) << "duplicate detection diverged";
-        if (fresh) live.push_back(f);
+        std::vector<Tuple>& tuples = model[pred];
+        const bool fresh =
+            std::find(tuples.begin(), tuples.end(), f.args) == tuples.end();
+        if (fresh) {
+          tuples.push_back(f.args);
+          live.push_back(f);
+        }
+        ASSERT_EQ(sorted.Insert(f), fresh) << "duplicate detection diverged";
+        ASSERT_EQ(bucket.Insert(f), fresh) << "duplicate detection diverged";
       }
-      ASSERT_EQ(columnar.size(), hash.size());
-      ASSERT_EQ(columnar.constants(), hash.constants())
-          << "tracked constant domains diverged at step " << step;
+      const std::unordered_set<ConstId> constants = ModelConstants(model);
+      for (const Database* db : {&sorted, &bucket}) {
+        ASSERT_EQ(db->size(), static_cast<int64_t>(live.size()));
+        ASSERT_EQ(db->constants(), constants)
+            << "tracked constant domain diverged from the model";
+        for (PredicateId pred : preds) {
+          ASSERT_EQ(Rows(*db, pred), model[pred])
+              << "rows diverged from insertion order on "
+              << symbols->PredicateName(pred);
+        }
+      }
 
-      // Every few steps, run an epoch cycle: prepare + seal (sorted on
-      // the columnar side), probe sealed, then unseal.
-      bool sealed_phase = step % 7 == 6;
+      // Every few steps, run an epoch cycle: prepare + seal, probe
+      // sealed, then unseal.
+      const bool sealed_phase = step % 7 == 6;
       if (sealed_phase) {
-        columnar.EnableSortedIndexes();
-        for (Database* db : {&columnar, &hash}) {
+        for (Database* db : {&sorted, &bucket}) {
           for (PredicateId pred : preds) {
             int arity = symbols->PredicateArity(pred);
-            for (ColumnMask mask = 1;
-                 mask < (1u << arity); ++mask) {
+            for (ColumnMask mask = 1; mask < (1u << arity); ++mask) {
               db->PrepareIndex(pred, mask);
             }
           }
@@ -134,8 +164,8 @@ TEST(StorageFuzzTest, ProbesMatchBruteForceAcrossInterleavings) {
         }
       }
 
-      // Random probes: both backends match the brute-force scan exactly,
-      // including result order (insertion order within the match set).
+      // Random probes: both databases match the model exactly, including
+      // result order (insertion order within the match set).
       for (int probe = 0; probe < 4; ++probe) {
         PredicateId pred = preds[rng.Uniform(preds.size())];
         int arity = symbols->PredicateArity(pred);
@@ -148,33 +178,35 @@ TEST(StorageFuzzTest, ProbesMatchBruteForceAcrossInterleavings) {
             key.push_back(static_cast<ConstId>(rng.Uniform(kNumConsts)));
           }
         }
-        std::vector<Tuple> expect = BruteForceProbe(columnar, pred, mask, key);
-        EXPECT_EQ(ResolveProbe(columnar, pred, mask, key), expect)
-            << "columnar probe diverged, seed " << seed << " step " << step;
-        EXPECT_EQ(ResolveProbe(hash, pred, mask, key), expect)
-            << "hash probe diverged, seed " << seed << " step " << step;
+        const std::vector<Tuple> expect = ModelProbe(model, pred, mask, key);
+        if (sealed_phase) {
+          // Every mask was prepared: a sealed probe is index-served.
+          EXPECT_FALSE(sorted.ProbeIndex(pred, mask, key).scan_all);
+          EXPECT_FALSE(bucket.ProbeIndex(pred, mask, key).scan_all);
+        }
+        EXPECT_EQ(ResolveProbe(sorted, pred, mask, key), expect)
+            << "sorted-seal probe diverged";
+        EXPECT_EQ(ResolveProbe(bucket, pred, mask, key), expect)
+            << "bucket probe diverged";
       }
 
       if (sealed_phase) {
-        columnar.UnsealIndexes();
-        hash.UnsealIndexes();
+        sorted.UnsealIndexes();
+        bucket.UnsealIndexes();
       }
     }
-    // Byte accounting differs by design — exact arena bytes on the
-    // columnar side, the conservative per-fact estimate on the hash
-    // side — but both must be positive while facts are stored and the
-    // columnar figure must equal its own arena report.
     if (!live.empty()) {
-      EXPECT_GT(columnar.ApproxBytes(), 0);
-      EXPECT_GT(hash.ApproxBytes(), 0);
-      EXPECT_GT(columnar.ArenaBytes(), 0);
+      for (const Database* db : {&sorted, &bucket}) {
+        EXPECT_GT(db->ApproxBytes(), 0);
+        EXPECT_GT(db->ArenaBytes(), 0);
+      }
     }
-    EXPECT_EQ(hash.ArenaBytes(), 0) << "reference backend has no arena";
   }
 }
 
-/// ClearRelation behaves identically on both backends, including the
-/// tracked constant domain and subsequent probes.
+/// ClearRelation removes exactly the model's tuples of one predicate,
+/// shrinks the tracked constant domain to the model's, and leaves every
+/// other relation's probes intact.
 TEST(StorageFuzzTest, ClearRelationParity) {
   for (uint64_t seed = 0; seed < 10; ++seed) {
     Random rng(7100 + seed);
@@ -182,225 +214,32 @@ TEST(StorageFuzzTest, ClearRelationParity) {
     PredicateId p = *symbols->InternPredicate("p", 2);
     PredicateId q = *symbols->InternPredicate("q", 1);
     for (int c = 0; c < 5; ++c) symbols->InternConst("c" + std::to_string(c));
-    Database columnar(symbols, StorageBackend::kColumnar);
-    Database hash(symbols, StorageBackend::kReferenceHash);
+    Database sorted(symbols);
+    sorted.EnableSortedIndexes();
+    Database bucket(symbols);
+    Model model;
     for (int i = 0; i < 30; ++i) {
       PredicateId pred = rng.Bernoulli(0.5) ? p : q;
       Fact f = RandomFact(*symbols, pred, 5, &rng);
-      ASSERT_EQ(columnar.Insert(f), hash.Insert(f));
+      std::vector<Tuple>& tuples = model[pred];
+      const bool fresh =
+          std::find(tuples.begin(), tuples.end(), f.args) == tuples.end();
+      if (fresh) tuples.push_back(f.args);
+      ASSERT_EQ(sorted.Insert(f), fresh);
+      ASSERT_EQ(bucket.Insert(f), fresh);
     }
-    ASSERT_EQ(columnar.ClearRelation(p), hash.ClearRelation(p));
-    EXPECT_EQ(columnar.size(), hash.size());
-    EXPECT_EQ(columnar.constants(), hash.constants());
-    EXPECT_TRUE(columnar.TuplesFor(p).empty());
-    ConstId c0 = symbols->FindConst("c0");
-    EXPECT_EQ(ResolveProbe(columnar, q, 0b1, {c0}),
-              ResolveProbe(hash, q, 0b1, {c0}));
-  }
-}
-
-/// All three engine families derive bit-identical models on both storage
-/// backends.
-TEST(StorageFuzzTest, EnginesBitIdenticalAcrossBackends) {
-  RandomProgramOptions options;
-  options.num_rules = 6;
-  options.negation_probability = 0.2;
-  options.hypothetical_probability = 0.25;
-
-  const StorageBackend kBackends[] = {StorageBackend::kColumnar,
-                                      StorageBackend::kReferenceHash};
-  int programs_checked = 0;
-  for (uint64_t seed = 0; seed < 12; ++seed) {
-    Random rng(seed);
-    ProgramFixture fixture = MakeRandomProgram(options, &rng);
-
-    EngineOptions eo;
-    eo.max_states = 40'000;
-    eo.max_steps = 3'000'000;
-
-    // Reference: bottom-up, columnar. FactsFor returns the
-    // model's tuples in derivation order, so comparing the vectors (not
-    // sets) checks bit-identical iteration order across backends.
-    Database columnar_db =
-        CopyWithBackend(fixture.db, fixture.symbols, StorageBackend::kColumnar);
-    BottomUpEngine reference(&fixture.rules, &columnar_db, eo);
-    if (!reference.Init().ok()) continue;
-
-    std::vector<PredicateId> idb;
-    for (int pred = 0; pred < fixture.symbols->num_predicates(); ++pred) {
-      if (fixture.rules.IsDefined(pred)) idb.push_back(pred);
+    const int64_t cleared = static_cast<int64_t>(model[p].size());
+    model.erase(p);
+    const ConstId c0 = symbols->FindConst("c0");
+    for (Database* db : {&sorted, &bucket}) {
+      ASSERT_EQ(db->ClearRelation(p), cleared);
+      EXPECT_EQ(db->size(), static_cast<int64_t>(model[q].size()));
+      EXPECT_EQ(db->constants(), ModelConstants(model));
+      EXPECT_TRUE(db->TuplesFor(p).empty());
+      EXPECT_EQ(Rows(*db, q), model[q]);
+      EXPECT_EQ(ResolveProbe(*db, q, 0b1, {c0}),
+                ModelProbe(model, q, 0b1, {c0}));
     }
-    bool skipped = false;
-    std::vector<std::vector<Tuple>> expect;
-    for (PredicateId pred : idb) {
-      auto facts = reference.FactsFor(pred);
-      if (!facts.ok()) {
-        ASSERT_EQ(facts.status().code(), StatusCode::kResourceExhausted);
-        skipped = true;
-        break;
-      }
-      expect.push_back(*std::move(facts));
-    }
-    if (skipped) continue;
-
-    for (StorageBackend backend : kBackends) {
-      Database db = CopyWithBackend(fixture.db, fixture.symbols, backend);
-      BottomUpEngine engine(&fixture.rules, &db, eo);
-      ASSERT_TRUE(engine.Init().ok());
-      for (size_t i = 0; i < idb.size(); ++i) {
-        auto facts = engine.FactsFor(idb[i]);
-        ASSERT_TRUE(facts.ok()) << facts.status();
-        EXPECT_EQ(*facts, expect[i])
-            << "seed " << seed << " backend "
-            << (backend == StorageBackend::kColumnar ? "columnar" : "hash")
-            << " diverged on " << fixture.symbols->PredicateName(idb[i])
-            << "\n"
-            << RuleBaseToString(fixture.rules);
-      }
-
-      // The top-down engines must prove exactly the reference model's
-      // facts (and nothing checkable beyond it diverges — spot-check
-      // with the derived facts themselves).
-      TabledEngine tabled(&fixture.rules, &db, eo);
-      std::unique_ptr<StratifiedProver> stratified;
-      if (CheckLinearlyStratifiable(fixture.rules).ok()) {
-        stratified =
-            std::make_unique<StratifiedProver>(&fixture.rules, &db, eo);
-      }
-      for (size_t i = 0; i < idb.size() && !skipped; ++i) {
-        for (const Tuple& args : expect[i]) {
-          Fact f;
-          f.predicate = idb[i];
-          f.args = args;
-          auto proved = tabled.ProveFact(f);
-          if (!proved.ok()) {
-            skipped = true;
-            break;
-          }
-          EXPECT_TRUE(*proved) << "tabled missed a model fact, seed "
-                               << seed;
-          if (stratified != nullptr) {
-            auto sp = stratified->ProveFact(f);
-            if (sp.ok()) {
-              EXPECT_TRUE(*sp) << "stratified missed a model fact, seed "
-                               << seed;
-            }
-          }
-        }
-      }
-    }
-    ++programs_checked;
-  }
-  EXPECT_GE(programs_checked, 5)
-      << "too many programs skipped on resource limits to be meaningful";
-}
-
-/// Incremental base-fact maintenance (the server epoch path) stays
-/// bit-identical across backends under insert/retract interleavings.
-TEST(StorageFuzzTest, ApplyBaseDeltaParityAcrossBackends) {
-  RandomProgramOptions options;
-  options.num_rules = 5;
-  options.negation_probability = 0.2;
-  options.hypothetical_probability = 0.2;
-
-  for (uint64_t seed = 200; seed < 206; ++seed) {
-    Random rng(seed);
-    ProgramFixture fixture = MakeRandomProgram(options, &rng);
-
-    EngineOptions eo;
-    eo.max_states = 40'000;
-    eo.max_steps = 3'000'000;
-
-    Database columnar_db =
-        CopyWithBackend(fixture.db, fixture.symbols, StorageBackend::kColumnar);
-    Database hash_db = CopyWithBackend(fixture.db, fixture.symbols,
-                                       StorageBackend::kReferenceHash);
-    BottomUpEngine columnar_engine(&fixture.rules, &columnar_db, eo);
-    BottomUpEngine hash_engine(&fixture.rules, &hash_db, eo);
-    if (!columnar_engine.Init().ok() || !hash_engine.Init().ok()) continue;
-
-    std::vector<PredicateId> idb;
-    for (int pred = 0; pred < fixture.symbols->num_predicates(); ++pred) {
-      if (fixture.rules.IsDefined(pred)) idb.push_back(pred);
-    }
-
-    std::vector<Fact> live;
-    columnar_db.ForEach([&](const Fact& f) { live.push_back(f); });
-    bool skipped = false;
-    for (int step = 0; step < 4 && !skipped; ++step) {
-      BaseDelta delta;
-      int batch = 1 + static_cast<int>(rng.Uniform(3));
-      for (int k = 0; k < batch; ++k) {
-        if (!live.empty() && rng.Bernoulli(0.4)) {
-          size_t victim = rng.Uniform(live.size());
-          Fact f = live[victim];
-          live.erase(live.begin() + victim);
-          ASSERT_TRUE(columnar_db.Retract(f));
-          ASSERT_TRUE(hash_db.Retract(f));
-          delta.retracts.push_back(f);
-        } else {
-          PredicateId pred = static_cast<PredicateId>(
-              rng.Uniform(fixture.symbols->num_predicates()));
-          Fact f = RandomFact(*fixture.symbols, pred,
-                              options.num_constants, &rng);
-          if (!columnar_db.Insert(f)) {
-            hash_db.Insert(f);  // Keep the two databases in lockstep.
-            continue;
-          }
-          ASSERT_TRUE(hash_db.Insert(f));
-          live.push_back(f);
-          delta.inserts.push_back(f);
-        }
-      }
-      if (!columnar_engine.ApplyBaseDelta(delta).ok() ||
-          !hash_engine.ApplyBaseDelta(delta).ok()) {
-        skipped = true;
-        break;
-      }
-      for (PredicateId pred : idb) {
-        auto lhs = columnar_engine.FactsFor(pred);
-        auto rhs = hash_engine.FactsFor(pred);
-        if (!lhs.ok() || !rhs.ok()) {
-          skipped = true;
-          break;
-        }
-        EXPECT_EQ(*lhs, *rhs)
-            << "backends diverged after delta, seed " << seed << " step "
-            << step << "\n" << RuleBaseToString(fixture.rules);
-      }
-    }
-  }
-}
-
-// HYPO_STORAGE selects the backend process-wide; a typo must fail fast
-// (the CLI and the server refuse to start), never silently evaluate on
-// the default backend. Both valid spellings and the unset/empty forms
-// must pass.
-TEST(StorageFuzzTest, ValidateStorageEnvAcceptsOnlyKnownBackends) {
-  const char* saved = std::getenv("HYPO_STORAGE");
-  std::string saved_value = saved != nullptr ? saved : "";
-
-  for (const char* good : {"columnar", "hash", ""}) {
-    ASSERT_EQ(setenv("HYPO_STORAGE", good, 1), 0);
-    Status s = Database::ValidateStorageEnv();
-    EXPECT_TRUE(s.ok()) << "\"" << good << "\": " << s;
-  }
-  ASSERT_EQ(unsetenv("HYPO_STORAGE"), 0);
-  EXPECT_TRUE(Database::ValidateStorageEnv().ok());
-
-  for (const char* bad : {"colmnar", "HASH", "columnar ", "rowwise"}) {
-    ASSERT_EQ(setenv("HYPO_STORAGE", bad, 1), 0);
-    Status s = Database::ValidateStorageEnv();
-    ASSERT_FALSE(s.ok()) << "accepted \"" << bad << "\"";
-    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
-    EXPECT_NE(s.message().find(bad), std::string::npos)
-        << "the offending value should be echoed: " << s;
-  }
-
-  if (saved != nullptr) {
-    ASSERT_EQ(setenv("HYPO_STORAGE", saved_value.c_str(), 1), 0);
-  } else {
-    ASSERT_EQ(unsetenv("HYPO_STORAGE"), 0);
   }
 }
 
