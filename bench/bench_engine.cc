@@ -1,5 +1,5 @@
-// Engine gauges: the §5.2.2 bottom-up fixpoint machinery, demand,
-// parallel rounds, incremental repair, overlay-heavy tabled proofs and the
+// Engine gauges: the §5.2.2 bottom-up fixpoint machinery, the child-state
+// lattice, incremental repair, overlay-heavy tabled proofs and the
 // server's cross-query and journaled paths.
 //
 // PROVE_Δ re-applies rules to a fixpoint. The bottom-up engine restricts
@@ -96,9 +96,8 @@ BENCHMARK(BM_ChainReachFixpoint)->Arg(64)->Arg(256)->Arg(1024);
 
 /// A forest of `k` disjoint chains of length `len`: node `c<i>_<j>` is
 /// the j-th node of chain i. Eager transitive closure must close every
-/// chain (k * len^2 / 2 facts); a query bound to chain 0's source only
-/// demands that one chain.
-ProgramFixture MakeChainForest(int k, int len, int gap = -1) {
+/// chain (k * len^2 / 2 facts).
+ProgramFixture MakeChainForest(int k, int len) {
   ProgramFixture fixture;
   auto rules = ParseRuleBase(
       "t(X, Y) <- edge(X, Y).\n"
@@ -109,7 +108,6 @@ ProgramFixture MakeChainForest(int k, int len, int gap = -1) {
   for (int i = 0; i < k; ++i) {
     const std::string c = "c" + std::to_string(i) + "_";
     for (int j = 0; j + 1 < len; ++j) {
-      if (i == 0 && j == gap) continue;  // Chain 0 may have a gap.
       HYPO_CHECK(fixture.db
                      .Insert("edge", {c + std::to_string(j),
                                       c + std::to_string(j + 1)})
@@ -118,74 +116,6 @@ ProgramFixture MakeChainForest(int k, int len, int gap = -1) {
   }
   return fixture;
 }
-
-/// Demand ablation (EngineOptions::demand): a ground transitive-closure
-/// query over a chain forest. Eager evaluation closes all k chains; the
-/// magic-set rewrite touches only the demanded source's chain, so the
-/// gap scales with k.
-void BM_DemandBoundClosure(benchmark::State& state) {
-  bool demand = state.range(0) != 0;
-  int k = static_cast<int>(state.range(1));
-  const int len = 64;
-  ProgramFixture fixture = MakeChainForest(k, len);
-  EngineOptions options;
-  options.demand = demand;
-  Query query = bench::MustParseQuery(
-      fixture, "t(c0_0, c0_" + std::to_string(len - 1) + ")");
-  int64_t facts = 0;
-  int64_t magic = 0;
-  for (auto _ : state) {
-    BottomUpEngine engine(&fixture.rules, &fixture.db, options);
-    auto got = engine.ProveQuery(query);
-    HYPO_CHECK(got.ok() && *got) << got.status();
-    benchmark::DoNotOptimize(*got);
-    facts = engine.stats().facts_derived;
-    magic = engine.stats().magic_facts;
-  }
-  state.counters["facts_derived"] = static_cast<double>(facts);
-  state.counters["magic_facts"] = static_cast<double>(magic);
-  state.SetLabel(std::string(demand ? "demand" : "eager") +
-                 " bound closure forest k=" + std::to_string(k));
-}
-BENCHMARK(BM_DemandBoundClosure)->ArgsProduct({{0, 1}, {4, 16, 64}});
-
-/// Demand ablation on a ground hypothetical query: chain 0 of the
-/// forest has a gap in the middle and the query asks whether one added
-/// edge bridges it. The child state `DB + edge` is demand-seeded with
-/// the queried atom, so only the source's chain of the hypothetical
-/// world is computed — eager evaluation closes all k chains twice (base
-/// state and child state).
-void BM_DemandHypotheticalBridge(benchmark::State& state) {
-  bool demand = state.range(0) != 0;
-  int k = static_cast<int>(state.range(1));
-  const int len = 64;
-  const int gap = len / 2;
-  ProgramFixture fixture = MakeChainForest(k, len, gap);
-  EngineOptions options;
-  options.demand = demand;
-  Query query = bench::MustParseQuery(
-      fixture, "t(c0_0, c0_" + std::to_string(len - 1) + ")[add: edge(c0_" +
-                   std::to_string(gap) + ", c0_" + std::to_string(gap + 1) +
-                   ")]");
-  int64_t facts = 0;
-  int64_t magic = 0;
-  int64_t states = 0;
-  for (auto _ : state) {
-    BottomUpEngine engine(&fixture.rules, &fixture.db, options);
-    auto got = engine.ProveQuery(query);
-    HYPO_CHECK(got.ok() && *got) << got.status();
-    benchmark::DoNotOptimize(*got);
-    facts = engine.stats().facts_derived;
-    magic = engine.stats().magic_facts;
-    states = engine.num_states();
-  }
-  state.counters["facts_derived"] = static_cast<double>(facts);
-  state.counters["magic_facts"] = static_cast<double>(magic);
-  state.counters["db_states"] = static_cast<double>(states);
-  state.SetLabel(std::string(demand ? "demand" : "eager") +
-                 " hypothetical bridge forest k=" + std::to_string(k));
-}
-BENCHMARK(BM_DemandHypotheticalBridge)->ArgsProduct({{0, 1}, {4, 16, 64}});
 
 /// Hypothetical-state exploration: every chain in the forest has a gap,
 /// and one rule asks per chain whether bridging its gap reconnects the

@@ -1,7 +1,6 @@
 // hypo_cli: evaluate hypothetical-Datalog programs from the command line.
 //
 //   hypo_cli PROGRAM.hdl [-q QUERY]... [--engine tabled|stratified|bottomup]
-//   hypo_cli PROGRAM.hdl -q "..." --engine bottomup --demand  # magic sets
 //   hypo_cli PROGRAM.hdl -q "..." --timeout-ms 500 --max-memory-mb 256
 //   hypo_cli PROGRAM.hdl --explain  # print the linear stratification
 //   hypo_cli PROGRAM.hdl --explain-plan  # premise order + rule bytecode
@@ -151,7 +150,7 @@ int RunQuery(Engine* engine, SymbolTable* symbols, const std::string& text) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::cerr << "usage: " << argv[0]
-              << " PROGRAM.hdl [-q QUERY]... [--engine NAME] [--demand]"
+              << " PROGRAM.hdl [-q QUERY]... [--engine NAME]"
                  " [--timeout-ms N] [--max-memory-mb N] [--explain-plan]\n";
     return 2;
   }
@@ -161,7 +160,6 @@ int main(int argc, char** argv) {
   bool explain = false;
   bool explain_plan = false;
   bool proof = false;
-  bool demand = false;
   long timeout_ms = 0;
   long max_memory_mb = 0;
   for (int i = 1; i < argc; ++i) {
@@ -170,8 +168,6 @@ int main(int argc, char** argv) {
       queries.emplace_back(argv[++i]);
     } else if (arg == "--engine" && i + 1 < argc) {
       engine_name = argv[++i];
-    } else if (arg == "--demand") {
-      demand = true;
     } else if (arg == "--timeout-ms" && i + 1 < argc) {
       if (!ParsePositiveFlag("--timeout-ms", argv[++i], &timeout_ms)) {
         return 2;
@@ -216,12 +212,7 @@ int main(int argc, char** argv) {
     if (queries.empty()) return 0;
   }
 
-  if (demand && engine_name != "bottomup") {
-    std::cerr << "--demand requires --engine bottomup\n";
-    return 2;
-  }
   EngineOptions options;
-  options.demand = demand;
   options.timeout_micros = timeout_ms * 1000;
   options.max_memory_bytes = max_memory_mb * 1024 * 1024;
   auto cancel = std::make_shared<CancellationToken>();

@@ -44,19 +44,6 @@ Atom PseudoHead(const Query& query) {
   return head;
 }
 
-/// The demand mask a query-root atom contributes: its constant argument
-/// positions (variables are free at the root — bindings flowing in from
-/// sibling premises are not adornments, so this is conservative).
-AdornMask ConstMask(const Atom& atom) {
-  AdornMask mask = 0;
-  const int limit =
-      std::min<int>(static_cast<int>(atom.args.size()), kMaxIndexedColumns);
-  for (int i = 0; i < limit; ++i) {
-    if (atom.args[i].is_const()) mask |= 1u << i;
-  }
-  return mask;
-}
-
 /// True iff no fact is in both `a` and `b`. A debug-build check only.
 [[maybe_unused]] bool Disjoint(const Database& a, const Database& b) {
   bool disjoint = true;
@@ -87,12 +74,6 @@ BaseDelta NetDelta(const BaseDelta& delta) {
   return out;
 }
 
-/// All-positions-bound mask for a ground fact probe.
-AdornMask GroundMask(size_t arity) {
-  if (arity >= static_cast<size_t>(kMaxIndexedColumns)) return ~0u;
-  return arity == 0 ? 0u : ((1u << arity) - 1u);
-}
-
 /// RAII unseal for the base a top-level region sealed.
 struct Unsealer {
   const Database* db;
@@ -121,15 +102,9 @@ Status BottomUpEngine::Init() {
         "TabledEngine; the eager engine's state lattice relies on states "
         "only growing");
   }
-  // The *original* program must stratify even when demand will evaluate
-  // the rewrite (the rewrite only adds positive dependencies on fresh
-  // magic predicates, so it stratifies whenever the original does).
-  HYPO_RETURN_IF_ERROR(ComputeNegationStrata(*rulebase_).status());
+  HYPO_ASSIGN_OR_RETURN(strata_, ComputeNegationStrata(*rulebase_));
   HYPO_RETURN_IF_ERROR(CheckRuleRestrictions(*rulebase_));
-  if (options_.demand && demand_profile_ == nullptr) {
-    demand_profile_ = std::make_unique<DemandProfile>(rulebase_);
-  }
-  HYPO_RETURN_IF_ERROR(RebuildActivePlans());
+  HYPO_RETURN_IF_ERROR(RebuildPlans());
 
   SetDomain(ComputeDomain(*rulebase_, *base_, extra_constants_));
   states_.clear();
@@ -146,9 +121,8 @@ void BottomUpEngine::SetDomain(std::vector<ConstId> domain) {
   domain_fp_ = DomainFingerprint(domain_);
 }
 
-Status BottomUpEngine::RebuildActivePlans() {
-  const RuleBase& program = active();
-  HYPO_ASSIGN_OR_RETURN(strata_, ComputeNegationStrata(program));
+Status BottomUpEngine::RebuildPlans() {
+  const RuleBase& program = *rulebase_;
   rule_plans_.clear();
   rule_plans_.reserve(program.num_rules());
   for (const Rule& rule : program.rules()) {
@@ -240,84 +214,6 @@ Status BottomUpEngine::RebuildActivePlans() {
   return Status::OK();
 }
 
-Status BottomUpEngine::RefreshDemandProgram(bool widened) {
-  if (demand_program_ != nullptr && !widened) return Status::OK();
-  HYPO_ASSIGN_OR_RETURN(DemandProgram program,
-                        BuildDemandProgram(*rulebase_, *demand_profile_));
-  demand_program_ = std::make_unique<DemandProgram>(std::move(program));
-  // Memoized states are kept: demand only widens, so their models hold
-  // true facts of a subset of the new demanded slice. The version bump
-  // makes EnsureState re-extend each one lazily on its next touch.
-  ++demand_version_;
-  return RebuildActivePlans();
-}
-
-int BottomUpEngine::StratumCap(PredicateId pred) const {
-  if (!active().IsDefined(pred)) return -1;  // Extensional: no rules run.
-  if (pred < 0 ||
-      pred >= static_cast<int>(strata_.stratum_of_pred.size())) {
-    return strata_.num_strata - 1;
-  }
-  return strata_.stratum_of_pred[pred];
-}
-
-Status BottomUpEngine::PrepareFactDemand(const Fact& fact,
-                                         std::vector<Fact>* seeds,
-                                         int* through) {
-  if (!options_.demand) {
-    *through = strata_.num_strata - 1;
-    return Status::OK();
-  }
-  bool widened = demand_program_ == nullptr;
-  if (rulebase_->IsDefined(fact.predicate)) {
-    widened |= demand_profile_->AddDemand(fact.predicate,
-                                          GroundMask(fact.args.size()));
-  }
-  HYPO_RETURN_IF_ERROR(RefreshDemandProgram(widened));
-  *through = StratumCap(fact.predicate);
-  if (auto seed = MagicSeedForFact(*demand_profile_, *demand_program_, fact)) {
-    seeds->push_back(std::move(*seed));
-  }
-  return Status::OK();
-}
-
-Status BottomUpEngine::PrepareQueryDemand(const Query& query,
-                                          std::vector<Fact>* seeds,
-                                          int* through) {
-  if (!options_.demand) {
-    *through = strata_.num_strata - 1;
-    return Status::OK();
-  }
-  bool widened = demand_program_ == nullptr;
-  for (const Premise& p : query.premises) {
-    if (!rulebase_->IsDefined(p.atom.predicate)) continue;
-    if (p.kind == PremiseKind::kNegated) {
-      // ~A at the root needs A's complete relation (Tekle-Liu).
-      widened |= demand_profile_->AddFullDemand(p.atom.predicate);
-    } else {
-      widened |= demand_profile_->AddDemand(p.atom.predicate,
-                                            ConstMask(p.atom));
-    }
-  }
-  HYPO_RETURN_IF_ERROR(RefreshDemandProgram(widened));
-  int cap = -1;
-  for (const Premise& p : query.premises) {
-    if (!rulebase_->IsDefined(p.atom.predicate)) continue;
-    // Hypothetical premises are included: when the additions turn out to
-    // be already-present facts the test degenerates to a check against
-    // *this* state's model (non-degenerate tests seed the child state in
-    // TestHypothetical instead).
-    cap = std::max(cap, StratumCap(p.atom.predicate));
-    if (p.kind == PremiseKind::kNegated) continue;  // kFull: no seed.
-    if (auto seed =
-            MagicSeedForAtom(*demand_profile_, *demand_program_, p.atom)) {
-      seeds->push_back(std::move(*seed));
-    }
-  }
-  *through = cap;
-  return Status::OK();
-}
-
 Status BottomUpEngine::EnsureConstants(const Query& query) {
   bool missing = false;
   for (ConstId c : QueryConstants(query)) {
@@ -385,8 +281,8 @@ void BottomUpEngine::RecomputeTrackedBytes() {
 }
 
 StatusOr<BottomUpEngine::State*> BottomUpEngine::EnsureState(
-    int64_t ckey, const StateKey& key, int through,
-    const std::vector<Fact>& seeds, bool may_seal_base, const State* lower) {
+    int64_t ckey, const StateKey& key, bool may_seal_base,
+    const State* lower) {
   std::unique_ptr<State>& slot = states_[ckey];
   if (slot == nullptr) {
     slot = std::make_unique<State>(base_->symbols_ptr());
@@ -394,36 +290,21 @@ StatusOr<BottomUpEngine::State*> BottomUpEngine::EnsureState(
     slot->added_set.insert(key.begin(), key.end());
     StoreAdditions(slot.get());
     tracked_bytes_ += StateBytes(*slot);
-    slot->demand_version = demand_version_;
     ++stats_.states_evaluated;
     if (lower != nullptr) ++stats_.states_derived;
   } else {
     ++stats_.memo_hits;
   }
   State* s = slot.get();
-  // Decide whether the model must be (re)computed. A model computed under
-  // a narrower demand profile, or left incomplete by an aborted run, must
-  // be re-extended; so must one that has not yet reached `through`, or
-  // into which a query just injected a new magic seed. Re-extension
-  // re-runs the strata from 0: ext is append-only and every fact in it is
-  // a true fact of the (wider) demanded slice, so the re-run only adds
-  // facts — answers never change, work is only redone.
-  bool rerun = s->dirty || s->demand_version != demand_version_;
-  for (const Fact& seed : seeds) {
-    if (s->ext.Insert(seed)) {
-      ++stats_.magic_facts;
-      tracked_bytes_ += ApproxFactBytes(seed.args.size());
-      rerun = true;
-    }
-  }
-  const int target = std::max(through, s->completed_through);
-  if (!rerun && target <= s->completed_through) return s;
+  // A model is computed once. A new state, or one an aborted run left
+  // dirty, is computed below rather than served.
+  if (s->complete) return s;
   // Injected abort between "must run" and the run: the state is left as
   // it was, so recovery just re-enters.
   HYPO_FAILPOINT("statecache.materialize");
 
-  // dirty stays raised until the model completes, so an abort mid-way
-  // leaves the state marked for recomputation, never served as-is.
+  // dirty stays raised until the model completes, so the next touch
+  // knows an aborted run left partial contents behind.
   // A half-built model is a sound subset of the true one — unless it
   // was being derived: its hidden set and lower layer are then partial
   // too, and a re-derivation must start from the added facts alone.
@@ -435,17 +316,13 @@ StatusOr<BottomUpEngine::State*> BottomUpEngine::EnsureState(
   HYPO_RETURN_IF_ERROR(CheckLimits());
   if (lower != nullptr) {
     HYPO_RETURN_IF_ERROR(DeriveChild(s, lower));
-    s->completed_through = target;
-    s->demand_version = demand_version_;
+    s->complete = true;
     s->dirty = false;
     return s;
   }
-  // Only the base state's FULL model is board-shareable: the empty
-  // context is the same id on every engine, no magic seeds narrow the
-  // model, and the fixpoint runs through the last stratum.
-  const bool shareable = board_ != nullptr && !options_.demand &&
-                         key.empty() && seeds.empty() &&
-                         target >= strata_.num_strata - 1;
+  // Only the base state's model is board-shareable: the empty context is
+  // the same id on every engine.
+  const bool shareable = board_ != nullptr && key.empty();
   if (shareable) {
     std::shared_ptr<const Database> model =
         board_->LookupModel(ContextInterner::kEmptyContext, domain_fp_);
@@ -457,15 +334,13 @@ StatusOr<BottomUpEngine::State*> BottomUpEngine::EnsureState(
       s->ext = model->Clone();
       tracked_bytes_ += StateBytes(*s) - before;
       ++stats_.cache_hits_cross_query;
-      s->completed_through = target;
-      s->demand_version = demand_version_;
+      s->complete = true;
       s->dirty = false;
       return s;
     }
   }
-  HYPO_RETURN_IF_ERROR(ComputeModel(s, target, may_seal_base));
-  s->completed_through = target;
-  s->demand_version = demand_version_;
+  HYPO_RETURN_IF_ERROR(ComputeModel(s, may_seal_base));
+  s->complete = true;
   s->dirty = false;
   if (shareable) {
     board_->PublishModel(ContextInterner::kEmptyContext, domain_fp_,
@@ -474,9 +349,8 @@ StatusOr<BottomUpEngine::State*> BottomUpEngine::EnsureState(
   return s;
 }
 
-StatusOr<BottomUpEngine::State*> BottomUpEngine::MaterializeBase(
-    int through, const std::vector<Fact>& seeds) {
-  return EnsureState(ContextInterner::kEmptyContext, {}, through, seeds,
+StatusOr<BottomUpEngine::State*> BottomUpEngine::MaterializeBase() {
+  return EnsureState(ContextInterner::kEmptyContext, {},
                      /*may_seal_base=*/true, /*lower=*/nullptr);
 }
 
@@ -537,8 +411,7 @@ void BottomUpEngine::InsertDerived(State* state, const Fact& fact) {
   state->ext.Insert(fact);
 }
 
-Status BottomUpEngine::ComputeModel(State* state, int through,
-                                    bool may_seal_base) {
+Status BottomUpEngine::ComputeModel(State* state, bool may_seal_base) {
   // When a long-lived caller (src/server) has already sealed the base for
   // an epoch, its seal — and the indexes it prepared — are shared with
   // other engines reading it; leave both alone. Probes for signatures the
@@ -563,12 +436,8 @@ Status BottomUpEngine::ComputeModel(State* state, int through,
     }
     base_->SealIndexes();
   }
-  const int last = std::min(through, strata_.num_strata - 1);
-  for (int s = 0; s <= last; ++s) {
+  for (int s = 0; s < strata_.num_strata; ++s) {
     HYPO_RETURN_IF_ERROR(ComputeStratum(state, s));
-  }
-  if (last < strata_.num_strata - 1) {
-    stats_.strata_skipped += strata_.num_strata - 1 - last;
   }
   return Status::OK();
 }
@@ -576,7 +445,7 @@ Status BottomUpEngine::ComputeModel(State* state, int through,
 std::vector<BottomUpEngine::RuleVersion> BottomUpEngine::RoundVersions(
     int stratum, const std::unordered_set<PredicateId>& changed_last,
     bool first_round) const {
-  const RuleBase& program = active();
+  const RuleBase& program = *rulebase_;
   std::vector<RuleVersion> versions;
   for (int rule_index : strata_.rules_by_stratum[stratum]) {
     if (first_round) {
@@ -761,7 +630,7 @@ StatusOr<bool> BottomUpEngine::RunProgram(const std::vector<Premise>& premises,
 Status BottomUpEngine::EvaluateRule(
     int rule_index, EvalCtx* ctx, Database* next_delta,
     std::unordered_set<PredicateId>* changed) {
-  const Rule& rule = active().rule(rule_index);
+  const Rule& rule = rulebase_->rule(rule_index);
   State* state = ctx->state;
   Fact head;  // Reused across emits; Insert copies it out.
   auto emit = [&](const ConstId* regs) -> StatusOr<bool> {
@@ -772,10 +641,6 @@ Status BottomUpEngine::EvaluateRule(
     state->ext.Insert(head);
     tracked_bytes_ += ApproxFactBytes(head.args.size());
     ++stats_.facts_derived;
-    if (demand_program_ != nullptr &&
-        demand_program_->IsMagic(head.predicate)) {
-      ++stats_.magic_facts;
-    }
     changed->insert(head.predicate);
     next_delta->Insert(head);
     ++stats_.delta_facts;
@@ -801,9 +666,7 @@ StatusOr<bool> BottomUpEngine::TestHypothetical(
   }
   if (new_ids.empty()) {
     // Same state: behaves like a positive premise over the in-progress
-    // model (the enclosing fixpoint re-checks it every round). Under
-    // demand the static magic propagation rule for this premise has
-    // already demanded the queried slice in this state.
+    // model (the enclosing fixpoint re-checks it every round).
     return Visible(*state, query);
   }
   StateKey key = state->key;
@@ -811,31 +674,17 @@ StatusOr<bool> BottomUpEngine::TestHypothetical(
   std::sort(key.begin(), key.end());
   key.erase(std::unique(key.begin(), key.end()), key.end());
   const int64_t ckey = ctx_interner_.InternAddedSet(key);
-  // Demand propagates *into* the child state: seed its magic relation
-  // with the ground queried atom's bound projection, and compute its
-  // model only through the queried predicate's stratum.
-  int through = strata_.num_strata - 1;
-  std::vector<Fact> seeds;
-  if (options_.demand && demand_program_ != nullptr) {
-    through = StratumCap(query.predicate);
-    if (auto seed =
-            MagicSeedForFact(*demand_profile_, *demand_program_, query)) {
-      seeds.push_back(std::move(*seed));
-    }
-  }
   // A child of the complete base model is that model repaired by the
   // additions. The lower layer is immutable for the derivation and for
   // as long as the child lives (ApplyBaseDelta drops children before it
   // repairs the base).
   const State* lower = nullptr;
-  if (state->key.empty() && !state->dirty &&
-      state->completed_through >= strata_.num_strata - 1 &&
-      !options_.demand && !has_hypothetical_) {
+  if (state->key.empty() && state->complete && !has_hypothetical_) {
     lower = state;
   }
   HYPO_ASSIGN_OR_RETURN(State * child,
-                        EnsureState(ckey, key, through, seeds,
-                                    /*may_seal_base=*/false, lower));
+                        EnsureState(ckey, key, /*may_seal_base=*/false,
+                                    lower));
   return Visible(*child, query);
 }
 
@@ -873,12 +722,10 @@ Status BottomUpEngine::ApplyBaseDelta(const BaseDelta& batch) {
   if (delta.empty()) return Status::OK();
   if (!initialized_) return Status::OK();  // First query Init()s fresh.
   ++stats_.base_deltas;
-  // Demand's magic programs are seeded from base contents, and a domain
-  // change invalidates every memoized enumeration: both fall back to a
-  // full re-Init (models recompute lazily on the next query). Without a
-  // rule program that enumerates the domain no model depends on it, so
+  // A domain change invalidates every memoized enumeration: it falls back
+  // to a full re-Init (models recompute lazily on the next query). Without
+  // a rule program that enumerates the domain no model depends on it, so
   // a new domain (which also keys the MemoBoard) is adopted in place.
-  if (options_.demand) return Init();
   std::vector<ConstId> domain =
       ComputeDomain(*rulebase_, *base_, extra_constants_);
   if (domain != domain_) {
@@ -907,8 +754,7 @@ Status BottomUpEngine::ApplyBaseDelta(const BaseDelta& batch) {
   }
   states_.clear();
   tracked_bytes_ = 0;
-  if (kept == nullptr || kept->dirty ||
-      kept->completed_through < strata_.num_strata - 1) {
+  if (kept == nullptr || !kept->complete) {
     // No model, or an incomplete one (aborted run): dropping it is
     // cheaper and simpler than repairing a partial fixpoint.
     return MaybeReplanForCardinality();
@@ -942,7 +788,7 @@ Status BottomUpEngine::MaybeReplanForCardinality() {
   for (const auto& [pred, planned] : planned_counts_) {
     const int64_t now = base_->CountFor(pred);
     if (now > 2 * planned || 2 * now < planned) {
-      return RebuildActivePlans();
+      return RebuildPlans();
     }
   }
   return Status::OK();
@@ -978,7 +824,7 @@ Status BottomUpEngine::RepairBaseModel(State* state, const BaseDelta& delta) {
 
 Status BottomUpEngine::RepairStratum(State* state, int stratum, Database* ins,
                                      Database* del) {
-  const RuleBase& program = active();
+  const RuleBase& program = *rulebase_;
   const bool any_delta = !ins->empty() || !del->empty();
   bool has_hypo = false;
   bool pos_touched = false;   // Some positive premise pred has a delta.
@@ -1019,7 +865,7 @@ Status BottomUpEngine::RepairStratum(State* state, int stratum, Database* ins,
 Status BottomUpEngine::RepairStratumIncremental(State* state, int stratum,
                                                 Database* ins, Database* del) {
   ++stats_.strata_repaired;
-  const RuleBase& program = active();
+  const RuleBase& program = *rulebase_;
   const std::vector<int>& stratum_rules = strata_.rules_by_stratum[stratum];
 
   std::unordered_set<PredicateId> pos_preds;  // Delta routing targets.
@@ -1226,7 +1072,7 @@ const std::vector<BottomUpEngine::NegVersion>& BottomUpEngine::NegVersions(
   RuleProgs& progs = rule_programs_[rule_index];
   if (progs.negs_compiled) return progs.negs;
   progs.negs_compiled = true;
-  const Rule& rule = active().rule(rule_index);
+  const Rule& rule = rulebase_->rule(rule_index);
   // Variables the head or a non-negated premise binds; a negation's other
   // variables are negation-local (the ∄ reading).
   std::vector<bool> outside(rule.num_vars(), false);
@@ -1309,7 +1155,7 @@ void BottomUpEngine::AddProbeSignatures(const std::vector<Premise>& premises,
 Status BottomUpEngine::RepairStratumRecompute(State* state, int stratum,
                                               Database* ins, Database* del) {
   ++stats_.strata_recomputed;
-  const RuleBase& program = active();
+  const RuleBase& program = *rulebase_;
   std::unordered_set<PredicateId> head_preds;
   for (int r : strata_.rules_by_stratum[stratum]) {
     head_preds.insert(program.rule(r).head.predicate);
@@ -1355,7 +1201,7 @@ Status BottomUpEngine::RepairStratumRecompute(State* state, int stratum,
 
 StatusOr<bool> BottomUpEngine::HeadDerivable(const Fact& fact, int stratum,
                                              State* state) {
-  const RuleBase& program = active();
+  const RuleBase& program = *rulebase_;
   for (int rule_index : strata_.rules_by_stratum[stratum]) {
     const Rule& rule = program.rule(rule_index);
     if (rule.head.predicate != fact.predicate) continue;
@@ -1389,7 +1235,7 @@ StatusOr<bool> BottomUpEngine::HeadDerivable(const Fact& fact, int stratum,
 std::string BottomUpEngine::ExplainPlans() const {
   if (!initialized_) return "bottom-up: not initialized\n";
   std::ostringstream out;
-  const RuleBase& program = active();
+  const RuleBase& program = *rulebase_;
   const SymbolTable& symbols = *base_->symbols_ptr();
   out << "engine=bottom-up\n";
   for (int r = 0; r < program.num_rules(); ++r) {
@@ -1420,8 +1266,6 @@ const EngineStats& BottomUpEngine::stats() const {
     stats_.arena_bytes += state->ext.ArenaBytes();
     stats_.memo_bytes += StateBytes(*state);
   }
-  stats_.demanded_predicates =
-      demand_profile_ != nullptr ? demand_profile_->num_demanded() : 0;
   // Non-empty hypothetical contexts interned as state-cache keys (the
   // ever-present empty context is the base state, not a hypothesis).
   stats_.contexts_interned = ctx_interner_.num_contexts() - 1;
@@ -1446,10 +1290,7 @@ StatusOr<bool> BottomUpEngine::ProveFact(const Fact& fact) {
   HYPO_RETURN_IF_ERROR(EnsureFactConstants(fact));
   GuardScope guard_scope(&guard_, options_, &stats_);
   if (guard_.wants_memory()) RecomputeTrackedBytes();
-  std::vector<Fact> seeds;
-  int through = 0;
-  HYPO_RETURN_IF_ERROR(PrepareFactDemand(fact, &seeds, &through));
-  HYPO_ASSIGN_OR_RETURN(State * top, MaterializeBase(through, seeds));
+  HYPO_ASSIGN_OR_RETURN(State * top, MaterializeBase());
   return Visible(*top, fact);
 }
 
@@ -1460,10 +1301,7 @@ Status BottomUpEngine::RunQuery(const Query& query,
   HYPO_RETURN_IF_ERROR(EnsureConstants(query));
   GuardScope guard_scope(&guard_, options_, &stats_);
   if (guard_.wants_memory()) RecomputeTrackedBytes();
-  std::vector<Fact> seeds;
-  int through = 0;
-  HYPO_RETURN_IF_ERROR(PrepareQueryDemand(query, &seeds, &through));
-  HYPO_ASSIGN_OR_RETURN(State * top, MaterializeBase(through, seeds));
+  HYPO_ASSIGN_OR_RETURN(State * top, MaterializeBase());
   Atom head = PseudoHead(query);
   BodyPlan plan =
       BodyPlan::Build(query.premises, &head, query.num_vars(), base_);
@@ -1505,16 +1343,7 @@ StatusOr<std::vector<Tuple>> BottomUpEngine::FactsFor(PredicateId pred) {
   if (!initialized_) HYPO_RETURN_IF_ERROR(Init());
   GuardScope guard_scope(&guard_, options_, &stats_);
   if (guard_.wants_memory()) RecomputeTrackedBytes();
-  int through = strata_.num_strata - 1;
-  if (options_.demand) {
-    bool widened = demand_program_ == nullptr;
-    if (rulebase_->IsDefined(pred)) {
-      widened |= demand_profile_->AddFullDemand(pred);
-    }
-    HYPO_RETURN_IF_ERROR(RefreshDemandProgram(widened));
-    through = StratumCap(pred);
-  }
-  HYPO_ASSIGN_OR_RETURN(State * top, MaterializeBase(through, {}));
+  HYPO_ASSIGN_OR_RETURN(State * top, MaterializeBase());
   std::vector<Tuple> out;
   const Database::RowsView base_rows = base_->TuplesFor(pred);
   const Database::RowsView ext_rows = top->ext.TuplesFor(pred);

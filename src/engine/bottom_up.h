@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/demand_transform.h"
 #include "analysis/stratification.h"
 #include "db/context_interner.h"
 #include "db/fact_interner.h"
@@ -36,15 +35,8 @@ namespace hypo {
 /// complete base state is derived from the base model by delta repair
 /// (DeriveChild) whenever the program allows it, instead of from empty.
 ///
-/// With `EngineOptions::demand` the engine evaluates the magic-set rewrite
-/// of the rulebase instead (analysis/demand_transform.h): each query seeds
-/// the magic relations of the state it probes, rules run guarded so only
-/// demanded slices are derived, and per-state models are computed only
-/// through the stratum the query needs (`State::completed_through`). The
-/// demand profile widens monotonically across queries; memoized states are
-/// kept and monotonically *re-extended* (their models are append-only sets
-/// of true facts, so re-running the strata under a wider profile only adds
-/// facts — see DESIGN.md for why answers are unchanged).
+/// Every state gets its whole model, computed once, as PROVE_Δ does.
+/// Goal-directed answering of bound queries is the TabledEngine's job.
 ///
 /// One thread at a time uses the engine, and it starts no thread of its
 /// own (DESIGN.md "Concurrency").
@@ -63,8 +55,7 @@ class BottomUpEngine : public Engine {
   StatusOr<std::vector<Tuple>> Answers(const Query& query) override;
 
   /// All tuples of `pred` derivable at the base state (extensional plus
-  /// derived). Convenience for examples and tests. Under demand this
-  /// registers full demand for `pred` (the whole relation is asked for).
+  /// derived). Convenience for examples and tests.
   StatusOr<std::vector<Tuple>> FactsFor(PredicateId pred);
 
   const EngineStats& stats() const override;
@@ -76,8 +67,7 @@ class BottomUpEngine : public Engine {
 
   /// The governance fields (timeout_micros, max_memory_bytes, cancel) may
   /// be changed between queries — e.g. to retry a tripped query with a
-  /// larger budget on the same warm engine. Changing the evaluation
-  /// field (demand) after Init() is undefined.
+  /// larger budget on the same warm engine.
   EngineOptions* mutable_options() override { return &options_; }
 
   /// Incremental repair of the memoized base-state model after the caller
@@ -88,9 +78,8 @@ class BottomUpEngine : public Engine {
   /// stratum — insertion semi-naive rounds for growth, DRed
   /// delete-and-rederive for retractions (negated premises included), and
   /// a recompute-and-diff fallback for strata with hypothetical premises
-  /// the delta reaches. Falls back to a full Init() when demand-driven
-  /// evaluation is active, or when the domain changed and some rule
-  /// program enumerates it.
+  /// the delta reaches. Falls back to a full Init() when the domain
+  /// changed and some rule program enumerates it.
   Status ApplyBaseDelta(const BaseDelta& batch) override;
 
   /// Shares the base state's full model with a server-lifetime MemoBoard:
@@ -105,7 +94,7 @@ class BottomUpEngine : public Engine {
   }
 
   /// Premise order, probe masks, and disassembled bytecode per compiled
-  /// rule version of the active program.
+  /// rule version.
   std::string ExplainPlans() const override;
 
   /// Test hooks (governance_test): the incrementally tracked model-byte
@@ -125,15 +114,9 @@ class BottomUpEngine : public Engine {
     StateKey key;                           // Sorted added-fact ids.
     std::unordered_set<FactId> added_set;   // Same ids, for membership.
     Database ext;                           // Added + derived facts.
-    /// Highest stratum whose fixpoint has completed for this state under
-    /// the current demand (-1 = none). Without demand every state is
-    /// computed through the last stratum on materialization; with demand
-    /// this grows monotonically as queries ask deeper.
-    int completed_through = -1;
-    /// The demand_version_ the model was last (re)computed under; a
-    /// mismatch means the transformed program changed (profile widened)
-    /// and the state must be re-extended before use.
-    int demand_version = 0;
+    /// True once the whole model is computed (or derived, or adopted from
+    /// the MemoBoard). Only complete models are served.
+    bool complete = false;
     /// True while a (re)computation is running: a model left behind by an
     /// aborted ComputeModel is incomplete and must be recomputed on the
     /// next touch, not served from the memo (abort recovery).
@@ -218,12 +201,6 @@ class BottomUpEngine : public Engine {
     const Database* vis_minus = nullptr;
   };
 
-  /// The program the fixpoint actually evaluates: the magic-set rewrite
-  /// when demand is active, the original rulebase otherwise.
-  const RuleBase& active() const {
-    return demand_program_ != nullptr ? demand_program_->rules : *rulebase_;
-  }
-
   /// True iff `fact` holds in `state`: the base database, the ext model,
   /// or a derived child's lower layer minus its hidden facts.
   bool Visible(const State& state, const Fact& fact) const {
@@ -284,57 +261,33 @@ class BottomUpEngine : public Engine {
   /// constants the caller introduces).
   Status EnsureFactConstants(const Fact& fact);
 
-  /// Recomputes strata / plans / delta info / static probe signatures
-  /// over active(). Called by Init() and whenever the demand program is
-  /// rebuilt.
-  Status RebuildActivePlans();
+  /// Recomputes plans / delta info / static probe signatures / compiled
+  /// programs over the rulebase's strata. Called by Init() and by
+  /// MaybeReplanForCardinality.
+  Status RebuildPlans();
 
   /// Server-epoch plan staleness (ApplyBaseDelta): when the netted delta
   /// moved any watched base relation's cardinality by more than 2x in
   /// either direction since the plans were ordered, re-runs
-  /// RebuildActivePlans (plans AND compiled programs; models untouched).
+  /// RebuildPlans (plans AND compiled programs; models untouched).
   Status MaybeReplanForCardinality();
 
-  /// Rebuilds the demand program when forced or when the profile widened
-  /// since the last build; bumps demand_version_ so memoized states are
-  /// re-extended lazily on their next touch.
-  Status RefreshDemandProgram(bool widened);
-
-  /// Registers query/fact demand with the profile, rebuilds the program
-  /// if it widened, and emits the magic seed facts plus the stratum the
-  /// top state must be computed through. No-ops (through = last stratum)
-  /// when demand is off.
-  Status PrepareFactDemand(const Fact& fact, std::vector<Fact>* seeds,
-                           int* through);
-  Status PrepareQueryDemand(const Query& query, std::vector<Fact>* seeds,
-                            int* through);
-
-  /// Stratum the model must reach for `pred` to be complete: its stratum
-  /// in the active program (-1 for extensional predicates, which need no
-  /// rules at all). Only meaningful under demand; without it callers use
-  /// the last stratum.
-  int StratumCap(PredicateId pred) const;
-
-  /// Ensures the state for `ckey`/`key` exists with `seeds` inserted into
-  /// its magic relations and its model computed through stratum `through`
-  /// (both monotone), and returns it. States are heap nodes, so a child
-  /// inserted while its parent computes never moves the parent.
+  /// Ensures the state for `ckey`/`key` exists with its model complete,
+  /// and returns it. States are heap nodes, so a child inserted while its
+  /// parent computes never moves the parent.
   ///
   /// A non-null `lower` (the complete base state) derives a new child
   /// from it with DeriveChild instead of computing it from empty.
   /// `may_seal_base` is set only by a top-level region (see ComputeModel).
   StatusOr<State*> EnsureState(int64_t ckey, const StateKey& key,
-                               int through, const std::vector<Fact>& seeds,
                                bool may_seal_base, const State* lower);
 
-  /// The base state a public entry evaluates on, computed through
-  /// `through` with `seeds`.
-  StatusOr<State*> MaterializeBase(int through,
-                                   const std::vector<Fact>& seeds);
+  /// The base state a public entry evaluates on, its model complete.
+  StatusOr<State*> MaterializeBase();
 
-  /// Computes (or re-extends) `state`'s model through stratum `through`.
-  /// With `may_seal_base`, an unsealed base is sealed for the run.
-  Status ComputeModel(State* state, int through, bool may_seal_base);
+  /// Computes `state`'s model, stratum by stratum. With `may_seal_base`,
+  /// an unsealed base is sealed for the run.
+  Status ComputeModel(State* state, bool may_seal_base);
 
   /// Builds `child`'s model (its ext holding just its added facts) as
   /// the base model `lower` repaired by the additions: the insertion half
@@ -490,38 +443,31 @@ class BottomUpEngine : public Engine {
 
   NegationStrata strata_;
   std::vector<BodyPlan> rule_plans_;
-  /// Compiled programs per active-program rule. Rebuilt with the plans
-  /// (Init, demand refresh, server epoch replans).
+  /// Compiled programs per rule. Rebuilt with the plans (Init, server
+  /// epoch replans).
   std::vector<RuleProgs> rule_programs_;
   std::vector<RuleDeltaInfo> rule_delta_info_;
-  /// Some rule of the active program has a hypothetical premise: its
-  /// stratum's repair is recompute-and-diff, so children are computed
-  /// from empty rather than derived.
+  /// Some rule has a hypothetical premise: its stratum's repair is
+  /// recompute-and-diff, so children are computed from empty rather than
+  /// derived.
   bool has_hypothetical_ = false;
   /// Some compiled rule program enumerates dom(R, DB): models depend on
   /// the domain, and a domain change re-Inits.
   bool enumerates_domain_ = false;
   /// Base-relation cardinalities the current plans were ordered against
-  /// (positive-premise predicates of the active program). A server epoch
-  /// whose netted delta moves any of them by more than 2x triggers a
-  /// replan + recompile (ApplyBaseDelta).
+  /// (positive-premise predicates of the rules). A server epoch whose
+  /// netted delta moves any of them by more than 2x triggers a replan +
+  /// recompile (ApplyBaseDelta).
   std::vector<std::pair<PredicateId, int64_t>> planned_counts_;
-  /// Every (predicate, probe-mask) signature any plan step of the active
-  /// program can probe at runtime, deduplicated: the rules' plans, and
-  /// each NegVersion's plan once compiled. A top-level region (and the
-  /// server, through BaseProbeSignatures) PrepareIndex()es all of them
-  /// before sealing the base, so sealed probes find an up-to-date index.
+  /// Every (predicate, probe-mask) signature any plan step can probe at
+  /// runtime, deduplicated: the rules' plans, and each NegVersion's plan
+  /// once compiled. A top-level region (and the server, through
+  /// BaseProbeSignatures) PrepareIndex()es all of them before sealing the
+  /// base, so sealed probes find an up-to-date index.
   std::vector<std::pair<PredicateId, ColumnMask>> static_sigs_;
   std::vector<ConstId> domain_;
   std::unordered_set<ConstId> domain_set_;
   std::vector<ConstId> extra_constants_;
-
-  // Demand-driven evaluation (options_.demand). The profile accumulates
-  // monotonically over the engine's lifetime; the program is rebuilt (and
-  // demand_version_ bumped) whenever the profile widens.
-  std::unique_ptr<DemandProfile> demand_profile_;
-  std::unique_ptr<DemandProgram> demand_program_;
-  int demand_version_ = 0;
 
   FactInterner interner_;
   ContextInterner ctx_interner_;

@@ -33,14 +33,6 @@ struct EngineOptions {
   /// O(|overlay|) per goal — test/debug only.
   bool validate_contexts = false;
 
-  /// Demand-driven (magic-set) evaluation for the BottomUpEngine: rewrite
-  /// the rulebase per query so each state materializes only the demanded
-  /// slice of its perfect model instead of the whole model. Answers are
-  /// unchanged (see DESIGN.md); off keeps the eager behavior as the
-  /// ablation baseline. Ignored by the top-down engines, which are
-  /// demand-driven by construction.
-  bool demand = false;
-
   // Resource governance (DESIGN.md "Resource governance & failure
   // semantics"). Each limit applies per top-level query; 0 / null means
   // "no limit" and costs nothing on the metering path.
@@ -104,11 +96,6 @@ struct EngineStats {
   int64_t index_sort_micros = 0;  // Wall time sorting permutation indexes.
   int64_t arena_bytes = 0;        // Columnar arena footprint gauge (bytes).
 
-  // Demand-driven evaluation (BottomUpEngine with EngineOptions::demand).
-  int64_t magic_facts = 0;          // Tuples derived into magic relations.
-  int64_t demanded_predicates = 0;  // Predicates demanded (magic or full).
-  int64_t strata_skipped = 0;       // Strata never run thanks to demand.
-
   // Hypothetical-context interning (tabled / stratified provers).
   int64_t contexts_interned = 0;     // Distinct overlay states seen.
   int64_t context_transitions = 0;   // Add/Delete/undo context steps.
@@ -164,9 +151,6 @@ struct EngineStats {
     index_sort_micros += other.index_sort_micros;
     // Footprint gauge, not a flow: the largest snapshot wins.
     arena_bytes = std::max(arena_bytes, other.arena_bytes);
-    magic_facts += other.magic_facts;
-    demanded_predicates += other.demanded_predicates;
-    strata_skipped += other.strata_skipped;
     contexts_interned += other.contexts_interned;
     context_transitions += other.context_transitions;
     context_cache_hits += other.context_cache_hits;
@@ -287,8 +271,7 @@ class Engine {
 
   /// The governance fields (timeout_micros, max_memory_bytes, cancel) may
   /// be changed between queries — e.g. to retry a tripped query with a
-  /// larger budget on the same warm engine. Changing the evaluation
-  /// field (demand) after Init() is undefined.
+  /// larger budget on the same warm engine.
   virtual EngineOptions* mutable_options() = 0;
 
   /// Notifies the engine that the caller has mutated the base Database

@@ -63,12 +63,6 @@ StatusOr<std::unique_ptr<QueryServer>> QueryServer::Create(
   if (options.pool_size < 1) {
     return Status::InvalidArgument("server pool_size must be >= 1");
   }
-  if (options.engine_options.demand) {
-    return Status::InvalidArgument(
-        "the server requires demand=false: demand-driven evaluation "
-        "rewrites the rulebase per query, which defeats shared-model "
-        "incremental maintenance");
-  }
 
   const DurabilityOptions& dur = options.durability;
   std::unique_ptr<QueryServer> server;

@@ -57,9 +57,7 @@ struct ServerOptions {
 
   /// Template options for every pooled engine. The governance fields
   /// (timeout_micros, max_memory_bytes) become per-query defaults that a
-  /// QuerySpec may override; `demand` must be false (demand rewrites the
-  /// rulebase per query, which fights the shared-model repair the server
-  /// exists for — Create rejects it).
+  /// QuerySpec may override.
   EngineOptions engine_options;
 
   /// Share settled goal verdicts and whole context models across the pool

@@ -210,6 +210,58 @@ TEST_F(CostTest, CompleteDigraphWithUnreachableTarget) {
   }
 }
 
+// A bound query over k disjoint 64-node chains reaches one chain. The
+// server's default engine answers it goal-directed, so its cost must not
+// grow with the chains the query never touches: the bottom-up engine
+// computes whole models only and leaves such queries to it (DESIGN.md
+// §5). In the bridge forest chain 0 lacks the edge c0_32 -> c0_33, and
+// the what-if adds it back.
+TEST_F(CostTest, BoundQueryIgnoresUnrelatedChains) {
+  RuleBase rules = Parse(
+      "t(X, Y) <- edge(X, Y).\n"
+      "t(X, Y) <- t(X, Z), edge(Z, Y).");
+  const int kLen = 64;
+  auto node = [](int chain, int j) {
+    return "c" + std::to_string(chain) + "_" + std::to_string(j);
+  };
+  const std::string closure =
+      "t(" + node(0, 0) + ", " + node(0, kLen - 1) + ")";
+  const std::string bridge = closure + "[add: edge(" + node(0, kLen / 2) +
+                             ", " + node(0, kLen / 2 + 1) + ")]";
+  struct Probe {
+    const char* name;
+    int gap;  // Chain 0 lacks the edge leaving node `gap`; -1 for none.
+    std::string query;
+  };
+  for (const Probe& probe : {Probe{"closure", -1, closure},
+                             Probe{"bridge", kLen / 2, bridge}}) {
+    int64_t k4_steps = -1;
+    for (int k : {4, 16, 64}) {
+      SCOPED_TRACE(std::string(probe.name) + " k=" + std::to_string(k));
+      Database db(symbols_);
+      for (int i = 0; i < k; ++i) {
+        for (int j = 0; j + 1 < kLen; ++j) {
+          if (i == 0 && j == probe.gap) continue;
+          ASSERT_TRUE(db.Insert("edge", {node(i, j), node(i, j + 1)}).ok());
+        }
+      }
+      EngineOptions options;
+      options.max_steps = 100'000;
+      TabledEngine tabled(&rules, &db, options);
+      int64_t steps = 0;
+      auto got = Run(&tabled, Q(probe.query), &steps);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->size(), 1u) << "the query holds";
+      if (k4_steps < 0) k4_steps = steps;
+      EXPECT_EQ(steps, k4_steps) << "steps grew with unrelated chains";
+      std::printf("[cost] %-18s |DB|=%-6lld %-36s tabled=%lld\n",
+                  ("forest/" + std::string(probe.name)).c_str(),
+                  static_cast<long long>(db.size()), probe.query.c_str(),
+                  static_cast<long long>(steps));
+    }
+  }
+}
+
 // The registrar shape of the server benchmark (Bonner's Examples 1-3):
 // transitive prerequisites, per-student gaps under negation, and course
 // availability with a second negation on top, 1000 students.

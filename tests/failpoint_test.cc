@@ -25,8 +25,7 @@ namespace {
 
 #if HYPO_FAILPOINTS
 
-const char* const kConfigs[] = {"tabled", "stratified", "bottomup",
-                                "bottomup-demand"};
+const char* const kConfigs[] = {"tabled", "stratified", "bottomup"};
 
 std::unique_ptr<Engine> MakeEngine(const std::string& kind,
                                    const RuleBase* rules, const Database* db) {
@@ -37,7 +36,6 @@ std::unique_ptr<Engine> MakeEngine(const std::string& kind,
   if (kind == "stratified") {
     return std::make_unique<StratifiedProver>(rules, db, options);
   }
-  options.demand = kind == "bottomup-demand";
   return std::make_unique<BottomUpEngine>(rules, db, options);
 }
 

@@ -29,8 +29,7 @@
 namespace hypo {
 namespace {
 
-const char* const kConfigs[] = {"tabled", "stratified", "bottomup",
-                                "bottomup-demand"};
+const char* const kConfigs[] = {"tabled", "stratified", "bottomup"};
 
 std::unique_ptr<Engine> MakeEngine(const std::string& kind,
                                    const RuleBase* rules, const Database* db,
@@ -41,7 +40,6 @@ std::unique_ptr<Engine> MakeEngine(const std::string& kind,
   if (kind == "stratified") {
     return std::make_unique<StratifiedProver>(rules, db, options);
   }
-  options.demand = kind == "bottomup-demand";
   return std::make_unique<BottomUpEngine>(rules, db, options);
 }
 

@@ -247,12 +247,6 @@ TEST_P(ServerTest, StorageCountersArePerQuery) {
 }
 
 TEST(QueryServerTest, CreateRejectsBadConfigurations) {
-  ServerOptions demand;
-  demand.engine_name = "bottomup";
-  demand.engine_options.demand = true;
-  EXPECT_EQ(QueryServer::Create(kReachProgram, demand).status().code(),
-            StatusCode::kInvalidArgument);
-
   ServerOptions unknown;
   unknown.engine_name = "quantum";
   EXPECT_EQ(QueryServer::Create(kReachProgram, unknown).status().code(),
