@@ -231,7 +231,7 @@ BENCHMARK(BM_IncrementalRetract)->ArgsProduct({{0, 1}, {4, 16, 64}});
 
 void BM_FrameAxiomModels(benchmark::State& state) {
   // The §5.1 frame axioms stress the Δ-model fixpoint inside the
-  // stratified prover (rule-filter rounds): one Δ model per machine step.
+  // stratified prover (semi-naive rounds): one Δ model per machine step.
   int n = static_cast<int>(state.range(0));
   std::vector<int> input;
   for (int i = 0; i < n - 4; ++i) input.push_back(i % 2 == 0 ? kSym1 : kSym0);

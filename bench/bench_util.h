@@ -32,15 +32,12 @@ inline const char* KindName(Kind kind) {
 inline std::unique_ptr<Engine> MakeEngine(
     Kind kind, const RuleBase* rules, const Database* db,
     EngineOptions options = EngineOptions()) {
-  switch (kind) {
-    case Kind::kTabled:
-      return std::make_unique<TabledEngine>(rules, db, options);
-    case Kind::kStratified:
-      return std::make_unique<StratifiedProver>(rules, db, options);
-    case Kind::kBottomUp:
-      return std::make_unique<BottomUpEngine>(rules, db, options);
-  }
-  return nullptr;
+  static const char* const kEngineNames[] = {"tabled", "stratified",
+                                             "bottomup"};
+  auto engine = hypo::MakeEngine(kEngineNames[static_cast<int>(kind)], rules,
+                                 db, options);
+  HYPO_CHECK(engine.ok()) << engine.status();
+  return std::move(engine).value();
 }
 
 /// Parses `text` as a query against the fixture's symbols, aborting on

@@ -4,8 +4,8 @@
 //   hypo_cli PROGRAM.hdl -q "..." --timeout-ms 500 --max-memory-mb 256
 //   hypo_cli PROGRAM.hdl --explain  # print the linear stratification
 //   hypo_cli PROGRAM.hdl --explain-plan  # premise order + rule bytecode
-//                                        # (tabled: per adornment, after
-//                                        # any -q queries compiled them)
+//                                        # (top-down rules: per adornment,
+//                                        # after -q queries compiled them)
 //   hypo_cli PROGRAM.hdl --proof -q "grad(tony)"   # print a derivation
 //   hypo_cli PROGRAM.hdl            # interactive: one query per line
 //
@@ -19,7 +19,8 @@
 // --max-memory-mb bounds the engine's approximate memory, and SIGINT
 // (ctrl-c) cancels the running query cooperatively. Exit codes: 0 ok,
 // 1 evaluation/parse error, 2 usage error, 3 deadline exceeded,
-// 4 resource limit exceeded, 5 cancelled.
+// 4 resource limit exceeded, 5 cancelled. An unknown --engine name is a
+// usage error.
 
 #include <csignal>
 #include <cstdlib>
@@ -34,8 +35,6 @@
 #include "analysis/report.h"
 #include "base/string_util.h"
 #include "engine/proof.h"
-#include "engine/bottom_up.h"
-#include "engine/stratified_prover.h"
 #include "engine/tabled.h"
 #include "parser/parser.h"
 
@@ -79,19 +78,6 @@ int ExitCodeFor(const Status& status) {
     default:
       return 1;
   }
-}
-
-std::unique_ptr<Engine> MakeEngineByName(const std::string& name,
-                                         const RuleBase* rules,
-                                         const Database* db,
-                                         const EngineOptions& options) {
-  if (name == "stratified") {
-    return std::make_unique<StratifiedProver>(rules, db, options);
-  }
-  if (name == "bottomup") {
-    return std::make_unique<BottomUpEngine>(rules, db, options);
-  }
-  return std::make_unique<TabledEngine>(rules, db, options);
 }
 
 int PrintProof(TabledEngine* engine, SymbolTable* symbols,
@@ -207,11 +193,6 @@ int main(int argc, char** argv) {
   std::cerr << "loaded " << program->rules.num_rules() << " rules, "
             << program->facts.size() << " facts\n";
 
-  if (explain) {
-    std::cout << ExplainStratification(program->rules);
-    if (queries.empty()) return 0;
-  }
-
   EngineOptions options;
   options.timeout_micros = timeout_ms * 1000;
   options.max_memory_bytes = max_memory_mb * 1024 * 1024;
@@ -220,17 +201,28 @@ int main(int argc, char** argv) {
   g_cancel = cancel.get();
   std::signal(SIGINT, HandleSigint);
 
-  auto engine = MakeEngineByName(engine_name, &program->rules,
-                                 &program->facts, options);
+  auto made = MakeEngine(engine_name, &program->rules, &program->facts,
+                         options);
+  if (!made.ok()) {
+    std::cerr << made.status() << "\n";
+    return 2;
+  }
+  std::unique_ptr<Engine> engine = std::move(made).value();
+
+  if (explain) {
+    std::cout << ExplainStratification(program->rules);
+    if (queries.empty()) return 0;
+  }
+
   if (Status s = engine->Init(); !s.ok()) {
     std::cerr << "engine init (" << engine->name() << "): " << s << "\n";
     return 1;
   }
 
-  // The tabled engine plans per adornment as queries reach its rules, so
-  // with queries its plans print after them.
+  // The top-down engines plan per adornment as queries reach their rules,
+  // so with queries their plans print after them.
   const bool plans_after_queries =
-      explain_plan && engine->name() == "tabled" && !queries.empty();
+      explain_plan && engine->name() != "bottom-up" && !queries.empty();
   if (explain_plan && !plans_after_queries) {
     std::cout << engine->ExplainPlans();
     if (queries.empty()) return 0;
@@ -240,11 +232,11 @@ int main(int argc, char** argv) {
   // not be OR-mangled by later queries' codes.
   int rc = 0;
   if (proof) {
-    auto* tabled = dynamic_cast<TabledEngine*>(engine.get());
-    if (tabled == nullptr) {
+    if (engine->name() != "tabled") {
       std::cerr << "--proof requires --engine tabled\n";
       return 2;
     }
+    auto* tabled = static_cast<TabledEngine*>(engine.get());
     for (const std::string& q : queries) {
       std::cout << "?- " << q << "\n";
       int code = PrintProof(tabled, symbols.get(), q);

@@ -2,7 +2,8 @@
 # End-to-end smoke test of the hypo_serve line protocol: drive one
 # scripted insert/retract/query session against a built binary and check
 # every response, including that the incremental answers track the epoch
-# turns and that the process shuts down cleanly.
+# turns and that the process shuts down cleanly. Also checks that
+# hypo_cli rejects an unknown engine name as a usage error.
 #
 # Usage: scripts/server_smoke.sh [build_dir]   (default: build)
 set -euo pipefail
@@ -10,7 +11,10 @@ cd "$(dirname "$0")/.."
 
 build="${1:-build}"
 serve="$build/examples/hypo_serve"
-[ -x "$serve" ] || { echo "missing $serve (build first)" >&2; exit 2; }
+cli="$build/examples/hypo_cli"
+for bin in "$serve" "$cli"; do
+  [ -x "$bin" ] || { echo "missing $bin (build first)" >&2; exit 2; }
+done
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -21,6 +25,16 @@ reach(X, Z) <- edge(X, Y), reach(Y, Z).
 edge(a, b).
 edge(b, c).
 EOF
+
+# An unknown engine name: exit 2 (usage error) with the server's message.
+rc=0
+"$cli" "$tmp/program.hdl" --engine nosuch -q "reach(a, X)" \
+  > /dev/null 2> "$tmp/cli_stderr" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q 'unknown engine "nosuch"' "$tmp/cli_stderr"; then
+  echo "hypo_cli --engine nosuch exited $rc, want 2 and the engine error:" >&2
+  cat "$tmp/cli_stderr" >&2
+  exit 1
+fi
 
 cat > "$tmp/session" <<'EOF'
 ping

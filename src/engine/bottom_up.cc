@@ -11,38 +11,13 @@
 #include "analysis/restricted.h"
 #include "base/failpoint.h"
 #include "engine/memo_board.h"
+#include "engine/seminaive.h"
 #include "engine/vm/compiler.h"
 #include "engine/vm/executor.h"
 
 namespace hypo {
 
 namespace {
-
-/// Collects the constants mentioned by a query (they extend dom(R, DB)).
-std::vector<ConstId> QueryConstants(const Query& query) {
-  std::vector<ConstId> out;
-  auto collect = [&out](const Atom& atom) {
-    for (const Term& t : atom.args) {
-      if (t.is_const()) out.push_back(t.const_id());
-    }
-  };
-  for (const Premise& p : query.premises) {
-    collect(p.atom);
-    for (const Atom& a : p.additions) collect(a);
-  }
-  return out;
-}
-
-/// A pseudo-head listing every variable of the query, so the plan
-/// enumerates unbound variables and Answers() returns total bindings.
-Atom PseudoHead(const Query& query) {
-  Atom head;
-  head.predicate = kInvalidPredicate;
-  for (int v = 0; v < query.num_vars(); ++v) {
-    head.args.push_back(Term::MakeVar(v));
-  }
-  return head;
-}
 
 /// True iff no fact is in both `a` and `b`. A debug-build check only.
 [[maybe_unused]] bool Disjoint(const Database& a, const Database& b) {
@@ -130,32 +105,12 @@ Status BottomUpEngine::RebuildPlans() {
         BodyPlan::Build(rule.premises, &rule.head, rule.num_vars(), base_));
   }
 
-  // Per-stratum "changing" predicate sets (heads of the stratum's rules)
-  // drive the semi-naive rewrite: only those relations can gain tuples
-  // while their stratum's fixpoint runs.
-  std::vector<std::unordered_set<PredicateId>> changing(strata_.num_strata);
-  for (int s = 0; s < strata_.num_strata; ++s) {
-    for (int r : strata_.rules_by_stratum[s]) {
-      changing[s].insert(program.rule(r).head.predicate);
-    }
-  }
+  // The semi-naive rewrite runs per stratum: only the relations of a
+  // stratum's heads can gain tuples while its fixpoint runs.
   rule_delta_info_.assign(program.num_rules(), RuleDeltaInfo{});
   for (int s = 0; s < strata_.num_strata; ++s) {
-    for (int r : strata_.rules_by_stratum[s]) {
-      const Rule& rule = program.rule(r);
-      RuleDeltaInfo& info = rule_delta_info_[r];
-      for (int i = 0; i < static_cast<int>(rule.premises.size()); ++i) {
-        const Premise& p = rule.premises[i];
-        if (changing[s].count(p.atom.predicate) == 0) continue;
-        if (p.kind == PremiseKind::kPositive) {
-          info.delta_premises.push_back(i);
-        } else if (p.kind == PremiseKind::kHypothetical) {
-          info.hypo_sensitive_preds.push_back(p.atom.predicate);
-        }
-        // Negated premises live strictly below their rule's stratum
-        // (stratified negation), so they can never flip mid-fixpoint.
-      }
-    }
+    ComputeRuleDeltaInfo(program, strata_.rules_by_stratum[s],
+                         &rule_delta_info_);
   }
 
   // Every probe signature any plan step can issue at runtime, for the
@@ -442,77 +397,20 @@ Status BottomUpEngine::ComputeModel(State* state, bool may_seal_base) {
   return Status::OK();
 }
 
-std::vector<BottomUpEngine::RuleVersion> BottomUpEngine::RoundVersions(
-    int stratum, const std::unordered_set<PredicateId>& changed_last,
-    bool first_round) const {
-  const RuleBase& program = *rulebase_;
-  std::vector<RuleVersion> versions;
-  for (int rule_index : strata_.rules_by_stratum[stratum]) {
-    if (first_round) {
-      // Round 0 instantiates every rule over the full relations (the
-      // semi-naive base case).
-      versions.push_back({rule_index, -1});
-      continue;
-    }
-    // A rule whose hypothetical premise watches a same-stratum predicate
-    // that just changed cannot be delta-restricted (the premise is a
-    // test, not a generator): fall back to a full instantiation.
-    const RuleDeltaInfo& info = rule_delta_info_[rule_index];
-    bool full = false;
-    for (PredicateId p : info.hypo_sensitive_preds) {
-      if (changed_last.count(p) > 0) {
-        full = true;
-        break;
-      }
-    }
-    if (full) {
-      versions.push_back({rule_index, -1});
-      continue;
-    }
-    // The standard rewrite: one rule version per changed positive
-    // premise, that premise ranging over last round's delta only.
-    const std::vector<Premise>& premises = program.rule(rule_index).premises;
-    for (int premise_index : info.delta_premises) {
-      if (changed_last.count(premises[premise_index].atom.predicate) > 0) {
-        versions.push_back({rule_index, premise_index});
-      }
-    }
-  }
-  return versions;
-}
-
 Status BottomUpEngine::ComputeStratum(State* state, int stratum) {
-  // Predicates whose relations gained tuples in the previous round, and
-  // the new tuples themselves, rotated per round.
-  std::unordered_set<PredicateId> changed_last;
-  std::unordered_set<PredicateId> changed_now;
-  Database delta(base_->symbols_ptr());
-  Database next_delta(base_->symbols_ptr());
-  bool first_round = true;
-  while (true) {
-    ++stats_.fixpoint_rounds;
-    HYPO_FAILPOINT("bottomup.round");
-    for (const RuleVersion& v :
-         RoundVersions(stratum, changed_last, first_round)) {
-      EvalCtx ctx;
-      ctx.state = state;
-      if (v.delta_premise >= 0) {
-        ctx.delta_premise = v.delta_premise;
-        ctx.delta = &delta;
-      }
-      HYPO_RETURN_IF_ERROR(
-          EvaluateRule(v.rule, &ctx, &next_delta, &changed_now));
-    }
-    if (changed_now.empty()) break;
-    retired_index_builds_ += delta.index_builds();
-    delta = std::move(next_delta);
-    next_delta = Database(base_->symbols_ptr());
-    changed_last = std::move(changed_now);
-    changed_now.clear();
-    first_round = false;
-  }
-  retired_index_builds_ += delta.index_builds() + next_delta.index_builds();
-  return Status::OK();
+  return RunSemiNaive(
+      *rulebase_, strata_.rules_by_stratum[stratum], rule_delta_info_,
+      [&](const RuleVersion& v, const Database* delta, Database* next_delta,
+          std::unordered_set<PredicateId>* changed) {
+        EvalCtx ctx;
+        ctx.state = state;
+        if (delta != nullptr) {
+          ctx.delta_premise = v.delta_premise;
+          ctx.delta = delta;
+        }
+        return EvaluateRule(v.rule, &ctx, next_delta, changed);
+      },
+      &stats_, &retired_index_builds_);
 }
 
 // As a nested class the host reaches the engine's private state and its

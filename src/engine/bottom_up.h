@@ -14,6 +14,7 @@
 #include "engine/binding.h"
 #include "engine/engine.h"
 #include "engine/plan.h"
+#include "engine/seminaive.h"
 #include "engine/vm/bytecode.h"
 #include "engine/vm/executor.h"
 
@@ -169,21 +170,6 @@ class BottomUpEngine : public Engine {
     }
   };
 
-  /// Static per-rule facts for the tuple-level semi-naive rewrite,
-  /// computed once per program build against the rule's own stratum.
-  struct RuleDeltaInfo {
-    /// Positive premises whose predicate can gain tuples during the
-    /// rule's stratum fixpoint; each is designated as the delta premise
-    /// of one rewritten rule version.
-    std::vector<int> delta_premises;
-    /// Queried predicates of hypothetical premises that live in the same
-    /// stratum: `A[add: C̄]` degenerates to a Visible(A) check when every
-    /// C is already present, so the premise can flip as A's relation
-    /// grows — such rules fall back to full re-evaluation in rounds
-    /// where one of these predicates changed.
-    std::vector<PredicateId> hypo_sensitive_preds;
-  };
-
   /// Per-round evaluation context of one program run: the state under
   /// construction and the optional delta designation.
   struct EvalCtx {
@@ -308,23 +294,6 @@ class BottomUpEngine : public Engine {
   /// One stratum of ComputeModel as semi-naive rounds; also the rebuild
   /// step of ApplyBaseDelta's recompute-and-diff fallback.
   Status ComputeStratum(State* state, int stratum);
-
-  /// One rule version of a semi-naive round: the rule with premise
-  /// `delta_premise` ranging over last round's new tuples only, or (-1)
-  /// the full instantiation.
-  struct RuleVersion {
-    int rule;
-    int delta_premise;
-  };
-
-  /// The versions one round of `stratum`'s fixpoint evaluates: every
-  /// rule in full in the first round; afterwards one version per positive
-  /// premise whose predicate changed last round, or the full rule when one
-  /// of its hypothetical premises watches a changed same-stratum
-  /// predicate.
-  std::vector<RuleVersion> RoundVersions(
-      int stratum, const std::unordered_set<PredicateId>& changed_last,
-      bool first_round) const;
 
   // --- Incremental base-delta repair (ApplyBaseDelta) ---------------------
   //

@@ -5,8 +5,29 @@
 #include <unordered_set>
 
 #include "base/hash.h"
+#include "engine/bottom_up.h"
+#include "engine/stratified_prover.h"
+#include "engine/tabled.h"
 
 namespace hypo {
+
+StatusOr<std::unique_ptr<Engine>> MakeEngine(const std::string& name,
+                                             const RuleBase* rules,
+                                             const Database* db,
+                                             const EngineOptions& options) {
+  std::unique_ptr<Engine> engine;
+  if (name == "tabled") {
+    engine = std::make_unique<TabledEngine>(rules, db, options);
+  } else if (name == "stratified") {
+    engine = std::make_unique<StratifiedProver>(rules, db, options);
+  } else if (name == "bottomup") {
+    engine = std::make_unique<BottomUpEngine>(rules, db, options);
+  } else {
+    return Status::InvalidArgument("unknown engine \"" + name +
+                                   "\" (tabled|stratified|bottomup)");
+  }
+  return engine;
+}
 
 std::vector<ConstId> ComputeDomain(const RuleBase& rulebase,
                                    const Database& db,
@@ -18,6 +39,30 @@ std::vector<ConstId> ComputeDomain(const RuleBase& rulebase,
   std::vector<ConstId> out(domain.begin(), domain.end());
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::vector<ConstId> QueryConstants(const Query& query) {
+  std::vector<ConstId> out;
+  auto collect = [&out](const Atom& atom) {
+    for (const Term& t : atom.args) {
+      if (t.is_const()) out.push_back(t.const_id());
+    }
+  };
+  for (const Premise& p : query.premises) {
+    collect(p.atom);
+    for (const Atom& a : p.additions) collect(a);
+    for (const Atom& a : p.deletions) collect(a);
+  }
+  return out;
+}
+
+Atom PseudoHead(const Query& query) {
+  Atom head;
+  head.predicate = kInvalidPredicate;
+  for (int v = 0; v < query.num_vars(); ++v) {
+    head.args.push_back(Term::MakeVar(v));
+  }
+  return head;
 }
 
 uint64_t DomainFingerprint(const std::vector<ConstId>& domain) {

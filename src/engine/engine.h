@@ -313,12 +313,28 @@ class Engine {
   }
 };
 
+/// The engine `name` selects — "tabled", "stratified" or "bottomup" —
+/// over (rules, db), not yet initialized; InvalidArgument for any other
+/// name. The one place engine names are read (server, CLI, benchmarks,
+/// tests).
+StatusOr<std::unique_ptr<Engine>> MakeEngine(
+    const std::string& name, const RuleBase* rules, const Database* db,
+    const EngineOptions& options = EngineOptions());
+
 /// dom(R, DB) of Definition 3: every constant in the rulebase or the
 /// database, plus `extra` (constants introduced by a top-level query).
 /// Sorted for determinism.
 std::vector<ConstId> ComputeDomain(const RuleBase& rulebase,
                                    const Database& db,
                                    const std::vector<ConstId>& extra = {});
+
+/// The constants a query names — in its atoms, additions and deletions —
+/// which extend dom(R, DB) for the engine that answers it.
+std::vector<ConstId> QueryConstants(const Query& query);
+
+/// A pseudo-head listing every variable of the query, so its plan binds
+/// or enumerates each one and Answers() returns total bindings.
+Atom PseudoHead(const Query& query);
 
 /// Order-sensitive fingerprint of a computed domain. Cross-query cache
 /// keys include it so engines whose domains diverged (per-engine

@@ -27,50 +27,6 @@ constexpr int64_t kCallTableBytes = 256;
 /// Per-answer dedup-index overhead (hash node + bucket slot).
 constexpr int64_t kAnswerIndexBytes = 32;
 
-std::vector<ConstId> QueryConstants(const Query& query) {
-  std::vector<ConstId> out;
-  auto collect = [&out](const Atom& atom) {
-    for (const Term& t : atom.args) {
-      if (t.is_const()) out.push_back(t.const_id());
-    }
-  };
-  for (const Premise& p : query.premises) {
-    collect(p.atom);
-    for (const Atom& a : p.additions) collect(a);
-    for (const Atom& a : p.deletions) collect(a);
-  }
-  return out;
-}
-
-Atom PseudoHead(const Query& query) {
-  Atom head;
-  head.predicate = kInvalidPredicate;
-  for (int v = 0; v < query.num_vars(); ++v) {
-    head.args.push_back(Term::MakeVar(v));
-  }
-  return head;
-}
-
-/// Compile modes for the top-down prover: a defined positive premise is a
-/// ground subproof or, with free variables, a tabled call; an extensional
-/// one a storage scan; a negated premise ALWAYS goes through
-/// ExistsProvable — even ground, even extensional — because ProveGoal
-/// itself resolves database entries.
-std::vector<vm::PremiseMode> TabledModes(const RuleBase& rulebase,
-                                         const std::vector<Premise>& premises) {
-  std::vector<vm::PremiseMode> modes(premises.size(),
-                                     vm::PremiseMode::kStorage);
-  for (size_t i = 0; i < premises.size(); ++i) {
-    const Premise& p = premises[i];
-    if (p.kind == PremiseKind::kNegated ||
-        (p.kind == PremiseKind::kPositive &&
-         rulebase.IsDefined(p.atom.predicate))) {
-      modes[i] = vm::PremiseMode::kCall;
-    }
-  }
-  return modes;
-}
-
 /// The call pattern of `atom` under `binding`: its ground arguments, with
 /// kUnbound at every column holding a still-unbound variable.
 Fact PatternOf(const Atom& atom, const Binding& binding) {
@@ -134,6 +90,27 @@ std::vector<bool> EntryBound(const Rule& rule,
 }
 
 }  // namespace
+
+std::vector<vm::PremiseMode> TabledEngine::PremiseModes(
+    const std::vector<Premise>& premises) const {
+  // A defined positive premise is a ground subproof or, with free
+  // variables, a tabled call; an extensional or materialized one a
+  // storage scan; a negated premise ALWAYS goes through ExistsProvable —
+  // even ground, even extensional — because ProveGoal itself resolves
+  // database entries and materialized models.
+  std::vector<vm::PremiseMode> modes(premises.size(),
+                                     vm::PremiseMode::kStorage);
+  for (size_t i = 0; i < premises.size(); ++i) {
+    const Premise& p = premises[i];
+    if (p.kind == PremiseKind::kNegated ||
+        (p.kind == PremiseKind::kPositive &&
+         rulebase_->IsDefined(p.atom.predicate) &&
+         !Materialized(p.atom.predicate))) {
+      modes[i] = vm::PremiseMode::kCall;
+    }
+  }
+  return modes;
+}
 
 size_t TabledEngine::CallTable::RowHash::operator()(uint32_t row) const {
   return static_cast<size_t>(HashRowLike(
@@ -258,7 +235,7 @@ Status TabledEngine::CheckLimits() {
         std::max(stats_.goals_expanded, stats_.enumerations)));
   }
   int64_t states = std::max<int64_t>(
-      static_cast<int64_t>(goal_memo_.size() + calls_.size()),
+      static_cast<int64_t>(goal_memo_.size() + calls_.size()) + num_models_,
       overlay_->context_interner().num_contexts());
   if (states > options_.max_states) {
     return Status::ResourceExhausted(
@@ -291,6 +268,10 @@ int64_t TabledEngine::MemoryBytes() const {
   return bytes;
 }
 
+StatusOr<const Database*> TabledEngine::MaterializedModel(PredicateId) {
+  return Status::Internal("the tabled engine materializes no predicate");
+}
+
 TabledEngine::GoalKey TabledEngine::KeyFor(const Fact& goal) {
   if (options_.validate_contexts) {
     HYPO_CHECK(overlay_->DebugContextConsistent())
@@ -317,7 +298,7 @@ std::unique_ptr<TabledEngine::AdornedRules> TabledEngine::BuildAdorned(
     in.num_vars = rule.num_vars();
     in.head = &rule.head;
     in.head_bound = bound;
-    in.modes = TabledModes(*rulebase_, rule.premises);
+    in.modes = PremiseModes(rule.premises);
     adorned->programs.push_back(vm::Compile(in));
   }
   return adorned;
@@ -394,10 +375,10 @@ TabledEngine::BaseProbeSignatures() const {
 }
 
 std::string TabledEngine::ExplainPlans() const {
-  if (!initialized_) return "tabled: not initialized\n";
+  if (!initialized_) return name() + ": not initialized\n";
   std::ostringstream out;
   const SymbolTable& symbols = *base_->symbols_ptr();
-  out << "engine=tabled\n";
+  out << "engine=" << name() << "\n";
   // Compiled adornments per predicate, in adornment order.
   std::map<PredicateId, std::map<std::string, const AdornedRules*>> by_pred;
   for (const auto& [key, adorned] : adorned_) {
@@ -407,6 +388,7 @@ std::string TabledEngine::ExplainPlans() const {
   for (int r = 0; r < rulebase_->num_rules(); ++r) {
     const Rule& rule = rulebase_->rule(r);
     const PredicateId pred = rule.head.predicate;
+    if (Materialized(pred)) continue;  // The deriving engine lists these.
     std::map<std::string, const AdornedRules*>& compiled = by_pred[pred];
     if (compiled.empty()) {
       // Nothing reached this predicate yet: show what a ground goal would
@@ -460,6 +442,7 @@ struct TabledEngine::VmHost {
   int depth;
   int64_t* low;
   const EmitFn* emit;
+  const Database* delta;  // A RunRound program's designated relation.
 
   Status OpenScan(const vm::Op& op, const std::vector<ConstId>& regs,
                   vm::ScanState* st) {
@@ -473,25 +456,46 @@ struct TabledEngine::VmHost {
       st->AddAnswers(&table->answers);
       return Status::OK();
     }
-    // Base relation, then overlay additions (ForEachBaseCandidate then
-    // ForEachAddedCandidate).
+    if (op.designated) {
+      st->AddDb(delta);  // Last round's new tuples only.
+      return Status::OK();
+    }
+    // Base relation, overlay additions (ForEachBaseCandidate then
+    // ForEachAddedCandidate), then a materialized predicate's model.
     st->AddDb(eng->base_);
     st->AddOverlay(eng->overlay_.get());
+    if (eng->Materialized(op.pred)) {
+      HYPO_ASSIGN_OR_RETURN(const Database* model,
+                            eng->MaterializedModel(op.pred));
+      st->AddDb(model);
+    }
     return Status::OK();
   }
 
   template <typename Row>
   bool AcceptRow(const vm::Op& op, const Row& row) {
     ++eng->stats_.join_probes;
+    // Premises before a round's designated one range over the relation
+    // without last round's tuples, so an instantiation touching k of them
+    // fires in one version, not k.
+    if (op.exclude_delta && delta->Contains(op.pred, row)) return false;
     // Hypothetically deleted facts are masked, not removed.
     return eng->overlay_->TupleVisible(op.pred, row);
   }
 
   StatusOr<bool> TestGround(const vm::Op& op,
                             const std::vector<ConstId>& regs) {
-    // Ground extensional premise: database entry, base or added.
+    // Ground storage premise: database entry, base or added, or a fact of
+    // a materialized predicate's model.
     const Atom& atom = (*premises)[op.premise_index].atom;
-    return eng->overlay_->Contains(vm::GroundAtom(atom, regs.data()));
+    const Fact fact = vm::GroundAtom(atom, regs.data());
+    if (op.designated) return delta->Contains(fact);
+    if (op.exclude_delta && delta->Contains(fact)) return false;
+    if (eng->overlay_->Contains(fact)) return true;
+    if (!eng->Materialized(op.pred)) return false;
+    HYPO_ASSIGN_OR_RETURN(const Database* model,
+                          eng->MaterializedModel(op.pred));
+    return model->Contains(fact);
   }
 
   StatusOr<bool> ProveCall(const vm::Op& op,
@@ -565,9 +569,22 @@ StatusOr<bool> TabledEngine::RunProgram(const std::vector<Premise>& premises,
                                         const vm::Program& prog, int depth,
                                         int64_t* low,
                                         vm::FrameStack::Frame* frame,
-                                        const EmitFn& emit) {
-  VmHost<EmitFn> host{this, &premises, depth, low, &emit};
+                                        const EmitFn& emit,
+                                        const Database* delta) {
+  VmHost<EmitFn> host{this, &premises, depth, low, &emit, delta};
   return vm::Run(prog, &host, &frame->regs, &frame->states);
+}
+
+Status TabledEngine::RunRound(
+    const std::vector<Premise>& premises, const vm::Program& prog,
+    const Database* delta,
+    const std::function<StatusOr<bool>(const ConstId*)>& emit) {
+  int64_t low = kNoLow;
+  vm::FrameLease frame(&vm_frames_, prog.num_vars);
+  HYPO_RETURN_IF_ERROR(
+      RunProgram(premises, prog, 0, &low, frame.get(), emit, delta).status());
+  HYPO_DCHECK(low == kNoLow) << "a round depended on an open goal or call";
+  return Status::OK();
 }
 
 bool TabledEngine::RerunScc(int64_t dfn, size_t mark, int64_t low,
@@ -645,6 +662,11 @@ StatusOr<bool> TabledEngine::ProveGoal(const Fact& goal, int depth,
   // Inference rule 1: database entries (base or hypothetically added).
   if (overlay_->Contains(goal)) return true;
   if (!rulebase_->IsDefined(goal.predicate)) return false;
+  if (Materialized(goal.predicate)) {
+    HYPO_ASSIGN_OR_RETURN(const Database* model,
+                          MaterializedModel(goal.predicate));
+    return model->Contains(goal);
+  }
 
   GoalKey key = KeyFor(goal);
   auto it = goal_memo_.find(key);
@@ -895,6 +917,11 @@ StatusOr<bool> TabledEngine::ExistsProvable(const Atom& atom,
   if (!rulebase_->IsDefined(atom.predicate)) {
     return ExistsStored(atom, binding);
   }
+  if (Materialized(atom.predicate)) {
+    HYPO_ASSIGN_OR_RETURN(const Database* model,
+                          MaterializedModel(atom.predicate));
+    return ExistsStored(atom, binding, model);
+  }
   HYPO_ASSIGN_OR_RETURN(CallTable * table,
                         SolveCall(PatternOf(atom, *binding), depth + 1, low));
   // Stratified negation puts the negated call strictly below everything
@@ -915,7 +942,8 @@ StatusOr<bool> TabledEngine::ExistsProvable(const Atom& atom,
   return false;
 }
 
-bool TabledEngine::ExistsStored(const Atom& atom, Binding* binding) {
+bool TabledEngine::ExistsStored(const Atom& atom, Binding* binding,
+                                const Database* model) {
   std::vector<VarIndex> trail;
   bool found = false;
   auto probe = [&](const auto& tuple) -> bool {
@@ -926,8 +954,10 @@ bool TabledEngine::ExistsStored(const Atom& atom, Binding* binding) {
     found = true;
     return false;
   };
-  if (ForEachBaseCandidate(*base_, atom, *binding, probe, &stats_)) {
-    ForEachAddedCandidate(*overlay_, atom, *binding, probe);
+  if (ForEachBaseCandidate(*base_, atom, *binding, probe, &stats_) &&
+      ForEachAddedCandidate(*overlay_, atom, *binding, probe) &&
+      model != nullptr) {
+    ForEachBaseCandidate(*model, atom, *binding, probe, &stats_);
   }
   return found;
 }
@@ -964,7 +994,7 @@ Status TabledEngine::RunQuery(const Query& query,
   in.premises = &query.premises;
   in.plan = &plan;
   in.num_vars = query.num_vars();
-  in.modes = TabledModes(*rulebase_, query.premises);
+  in.modes = PremiseModes(query.premises);
   vm::Program prog = vm::Compile(in);
   ++stats_.vm_programs_compiled;
   vm::FrameLease frame(&vm_frames_, prog.num_vars);

@@ -19,6 +19,7 @@
 #include "engine/plan.h"
 #include "engine/proof.h"
 #include "engine/vm/bytecode.h"
+#include "engine/vm/compiler.h"
 #include "engine/vm/executor.h"
 
 namespace hypo {
@@ -54,6 +55,12 @@ namespace hypo {
 /// any call chain the negation stratum never increases, and a NAF subquery
 /// lives strictly below every in-progress goal outside its own subtree, so
 /// its answer is always definite.
+///
+/// A derived engine may *materialize* predicates (the StratifiedProver's
+/// Δ partitions): a goal, call or negation on one reads the model
+/// MaterializedModel returns for the current context instead of running
+/// the predicate's rules, and a positive premise over one scans that
+/// model next to the stored tuples.
 ///
 /// This engine accepts every rulebase of Definition 3 + stratified NAF —
 /// no linearity needed — and is the only one that evaluates [del:].
@@ -98,6 +105,57 @@ class TabledEngine : public Engine {
   /// local misses consult the board before expanding, and definite
   /// results (kTrue, completed kFalse) are published back.
   void AttachMemoBoard(MemoBoard* board) override;
+
+ protected:
+  /// True iff `pred` is materialized. Predicates interned after Init (by
+  /// queries) are extensional.
+  bool Materialized(PredicateId pred) const {
+    return pred >= 0 && pred < static_cast<PredicateId>(materialized_.size()) &&
+           materialized_[pred];
+  }
+
+  /// The model a materialized predicate's goals, calls and negations read
+  /// in the current context, stored tuples excluded. Never called unless
+  /// a derived engine marks predicates in `materialized_`.
+  virtual StatusOr<const Database*> MaterializedModel(PredicateId pred);
+
+  /// How each premise of a body compiles: a defined positive premise is a
+  /// subproof or a tabled call, an extensional or materialized one a
+  /// storage scan, a negated one a kNegCall.
+  std::vector<vm::PremiseMode> PremiseModes(
+      const std::vector<Premise>& premises) const;
+
+  /// Runs an entry-unbound program compiled with PremiseModes once in the
+  /// current context, handing each instantiation's registers to `emit`.
+  /// `delta` is the relation of the program's designated premise (a
+  /// semi-naive round), null for a full instantiation. The goals and calls
+  /// it makes must sit strictly below every open one, so they complete in
+  /// place.
+  Status RunRound(const std::vector<Premise>& premises,
+                  const vm::Program& prog, const Database* delta,
+                  const std::function<StatusOr<bool>(const ConstId*)>& emit);
+
+  /// Approximate bytes held by the goal memo, the call tables and both
+  /// interners — O(1), read by the QueryGuard memory budget at metering
+  /// frequency. A derived engine adds its models.
+  virtual int64_t MemoryBytes() const;
+
+  Status CheckLimits();
+
+  const RuleBase* rulebase_;
+  const Database* base_;
+  EngineOptions options_;
+  /// Per predicate: true iff materialized (see Materialized). Set by a
+  /// derived engine's Init; empty here.
+  std::vector<bool> materialized_;
+  /// Models a derived engine memoizes for materialized predicates; each
+  /// counts as one state toward max_states.
+  int64_t num_models_ = 0;
+  FactInterner interner_;
+  std::unique_ptr<OverlayDatabase> overlay_;
+  // stats() refreshes the derived fields (context counters, memo bytes)
+  // on read; the hot path only touches the plain counters.
+  mutable EngineStats stats_;
 
  private:
   struct GoalEntry {
@@ -241,12 +299,14 @@ class TabledEngine : public Engine {
   /// Runs one compiled program; `frame->regs` arrives pre-seeded by
   /// MatchHead for rule programs (head-bound) or all-kUnbound for query
   /// programs. `depth` is the rule body's depth: every subproof the host
-  /// spawns runs at depth + 1, leasing its own frame.
+  /// spawns runs at depth + 1, leasing its own frame. `delta` backs the
+  /// designated premise of a RunRound program.
   template <typename EmitFn>
   StatusOr<bool> RunProgram(const std::vector<Premise>& premises,
                             const vm::Program& prog, int depth,
                             int64_t* low, vm::FrameStack::Frame* frame,
-                            const EmitFn& emit);
+                            const EmitFn& emit,
+                            const Database* delta = nullptr);
 
   /// True iff some instance of `atom` extending `binding` is provable
   /// (the ∄ reading of negated premises): a goal when ground, a stored
@@ -254,8 +314,10 @@ class TabledEngine : public Engine {
   StatusOr<bool> ExistsProvable(const Atom& atom, Binding* binding,
                                 int depth, int64_t* low);
 
-  /// True iff a visible stored tuple matches `atom` under `binding`.
-  bool ExistsStored(const Atom& atom, Binding* binding);
+  /// True iff a visible stored tuple, or a tuple of `model` when given,
+  /// matches `atom` under `binding`.
+  bool ExistsStored(const Atom& atom, Binding* binding,
+                    const Database* model = nullptr);
 
   /// Evaluates a query body, collecting answers (or stopping at the first
   /// witness when `answers` is null).
@@ -264,12 +326,6 @@ class TabledEngine : public Engine {
 
   Status EnsureConstants(const Query& query);
   Status EnsureFactConstants(const Fact& fact);
-  Status CheckLimits();
-
-  /// Approximate bytes held by the goal memo, the call tables and both
-  /// interners — O(1), read by the QueryGuard memory budget at metering
-  /// frequency.
-  int64_t MemoryBytes() const;
 
   /// Counts one domain-grounding iteration and enforces max_steps on
   /// enumeration-heavy plans (checked every 256 iterations so purely
@@ -307,10 +363,6 @@ class TabledEngine : public Engine {
                                      visiting,
                                  std::vector<ProofNode>* children);
 
-const RuleBase* rulebase_;
-  const Database* base_;
-  EngineOptions options_;
-
   /// Adorned plans by "pred:adornment"; ground_rules_ indexes the
   /// all-bound ones by predicate. Both reset by Init().
   std::unordered_map<std::string, std::unique_ptr<AdornedRules>> adorned_;
@@ -325,8 +377,6 @@ const RuleBase* rulebase_;
   std::unordered_set<ConstId> domain_set_;
   std::vector<ConstId> extra_constants_;
 
-  FactInterner interner_;
-  std::unique_ptr<OverlayDatabase> overlay_;
   std::unordered_map<GoalKey, GoalEntry, GoalKeyHash> goal_memo_;
   std::unordered_map<GoalKey, std::unique_ptr<CallTable>, GoalKeyHash>
       calls_;
@@ -345,9 +395,6 @@ const RuleBase* rulebase_;
   std::unordered_map<ContextId, ContextId> board_contexts_;
   std::vector<int64_t> board_elems_;  // Scratch for BoardContext.
 
-  // stats() refreshes the derived fields (context counters, memo bytes)
-  // on read; the hot path only touches the plain counters.
-  mutable EngineStats stats_;
   /// The base's index totals at the last ResetStats().
   IndexTotals index_base_;
   bool initialized_ = false;

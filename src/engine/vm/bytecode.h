@@ -31,12 +31,10 @@ enum class OpCode : uint8_t {
   /// membership test, no enumeration and no join_probes.
   kTestGround,
   /// Bind one register from dom(R, DB). Choice point. Each op is one
-  /// nested domain loop, counted once per candidate value; a variable
-  /// occurring free twice in a defined premise gets one op per occurrence
-  /// (see FreeOccurrences in compiler.cc).
+  /// nested domain loop, counted once per candidate value.
   kEnumDomain,
-  /// Ground subproof of a defined (IDB) premise — tabled ProveGoal /
-  /// stratified ProveGround. All variables bound by preceding ops.
+  /// Ground subproof of a defined (IDB) premise — the top-down engines'
+  /// ProveGoal. All variables bound by preceding ops.
   kProveCall,
   /// A defined premise with free variables, resolved as one tabled call
   /// (tabled engine only): the host solves the call keyed by the premise's
@@ -56,9 +54,9 @@ enum class OpCode : uint8_t {
   /// (∄ reading). The host runs its ExistsMatch/ExistsStored probe over a
   /// scratch Binding seeded from the registers.
   kNegProbe,
-  /// Negated premise with free variables, refuted by a provable witness:
-  /// the host enumerates dom(R, DB) over `free_vars` (duplicates kept)
-  /// and calls the engine's prover per tuple.
+  /// Negated premise refuted by a provable witness (the top-down
+  /// engines): ground, a failed subproof; with `free_vars`, an empty call
+  /// table (or no stored or materialized witness).
   kNegCall,
   /// Complete instantiation: hand the registers to the sink. The sink
   /// returning false stops the whole enumeration (first-witness queries);
@@ -123,7 +121,7 @@ struct Op {
   /// columns), so their rechecks are skipped.
   std::vector<MatchAction> post;
   /// kNegCall: free-variable occurrences in argument order, duplicates
-  /// kept (see FreeOccurrences in compiler.cc).
+  /// kept; the host binds every other variable of the atom.
   std::vector<VarIndex> free_vars;
   /// kNegProbe: the statically bound variables of the negated atom,
   /// deduplicated. The host seeds a scratch Binding from exactly these

@@ -36,9 +36,7 @@ void MarkBound(const Atom& atom, std::vector<bool>* bound) {
   }
 }
 
-/// Free-variable occurrences in argument order, duplicates kept: the list
-/// is taken before any of them is bound, so a variable occurring free
-/// twice is listed twice and enumerates domain² times.
+/// Free-variable occurrences in argument order, duplicates kept.
 std::vector<VarIndex> FreeOccurrences(const Atom& atom,
                                       const std::vector<bool>& bound) {
   std::vector<VarIndex> free;
@@ -166,10 +164,8 @@ Program Compile(const CompileInput& in) {
           op.code = OpCode::kCall;
           BuildScanActions(atom, bound, &op);
           push(std::move(op));
-        } else if (mode != PremiseMode::kStorage) {
-          // Defined premise: enumerate each free occurrence (duplicates
-          // kept) from the domain, then one ground subproof.
-          for (VarIndex v : FreeOccurrences(atom, bound)) push_enum(v);
+        } else if (mode == PremiseMode::kCall) {
+          // Ground defined premise: one subproof.
           op.code = OpCode::kProveCall;
           push(std::move(op));
         } else if (AllBound(atom, bound)) {

@@ -14,12 +14,11 @@ namespace vm {
 
 /// How the runtime establishes a premise's truth. kStorage premises probe
 /// stored relations (base database, derived models, overlay additions);
-/// kProve premises call back into the engine's prover (tabled ProveGoal,
-/// stratified ProveGround for Σ-partition predicates), enumerating the
-/// domain for a positive premise's free variables; kCall premises (tabled
-/// engine) are proved like kProve when ground and otherwise resolved as
-/// one tabled call (OpCode::kCall) — no domain enumeration.
-enum class PremiseMode : uint8_t { kStorage, kProve, kCall };
+/// kCall premises (the top-down engines) call back into the engine's
+/// prover: a ground subproof (OpCode::kProveCall) when every variable is
+/// bound, otherwise one tabled call (OpCode::kCall) — no domain
+/// enumeration — and a negated one is always a kNegCall.
+enum class PremiseMode : uint8_t { kStorage, kCall };
 
 /// Everything the compiler needs to lower one BodyPlan. The plan's step
 /// order is taken as-is; the compiler only tracks static boundness to

@@ -7,31 +7,13 @@
 #include <utility>
 
 #include "analysis/restricted.h"
-#include "engine/bottom_up.h"
 #include "engine/memo_board.h"
-#include "engine/stratified_prover.h"
-#include "engine/tabled.h"
 #include "parser/parser.h"
 #include "server/checkpoint.h"
 
 namespace hypo {
 
 namespace {
-
-std::unique_ptr<Engine> MakeEngine(const std::string& name,
-                                   const RuleBase* rules, const Database* db,
-                                   const EngineOptions& options) {
-  if (name == "tabled") {
-    return std::make_unique<TabledEngine>(rules, db, options);
-  }
-  if (name == "stratified") {
-    return std::make_unique<StratifiedProver>(rules, db, options);
-  }
-  if (name == "bottomup") {
-    return std::make_unique<BottomUpEngine>(rules, db, options);
-  }
-  return nullptr;
-}
 
 /// Returns the checked-out engine even when evaluation fails or throws.
 class EngineLease {
@@ -178,13 +160,9 @@ Status QueryServer::InitEngines() {
   engines_.reserve(options_.pool_size);
   free_.reserve(options_.pool_size);
   for (int i = 0; i < options_.pool_size; ++i) {
-    auto engine = MakeEngine(options_.engine_name, &rules_, &base_,
-                             options_.engine_options);
-    if (engine == nullptr) {
-      return Status::InvalidArgument("unknown engine \"" +
-                                     options_.engine_name +
-                                     "\" (tabled|stratified|bottomup)");
-    }
+    HYPO_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
+                          MakeEngine(options_.engine_name, &rules_, &base_,
+                                     options_.engine_options));
     if (Status s = engine->Init(); !s.ok()) return s;
     free_.push_back(engine.get());
     engines_.push_back(std::move(engine));

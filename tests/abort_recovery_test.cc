@@ -90,7 +90,7 @@ TEST_F(AbortRecoveryTest, TabledEngineRecoversAfterAbort) {
 
 // Same shape for the StratifiedProver, with the recursion routed
 // through a hypothetical premise so `s` and `goal` land in a Sigma
-// partition and are proved by the goal-memoized ProveSigma (the Delta
+// partition and are proved by its goal-memoized tabled prover (the Delta
 // predicates are computed bottom-up and have no goal memo to poison).
 TEST_F(AbortRecoveryTest, StratifiedProverRecoversAfterAbort) {
   RuleBase rules = Parse(

@@ -5,6 +5,12 @@
 // the tabled engine must agree with the bottom-up engine
 // AND answer every query within a step budget polynomial in |DB|.
 //
+// The stratified prover must agree too, within twice the steps of a
+// fresh bottom-up engine: these are all Δ_1 programs, whose whole model
+// both engines build by the same semi-naive rounds. On programs with Σ
+// recursion (minimized from random-program findings) it must stay within
+// 100x the tabled engine's steps: its Σ goals are the tabled prover's.
+//
 // Steps are goals_expanded + enumerations — exactly what max_steps
 // meters. The budget is kStepsPerFact * |DB| with |DB| the number of
 // stored facts: a linear bound, fixed from the measured counts (printed
@@ -21,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/bottom_up.h"
+#include "engine/stratified_prover.h"
 #include "engine/tabled.h"
 #include "parser/parser.h"
 
@@ -118,9 +125,11 @@ class CostTest : public ::testing::Test {
 
   /// Runs every query on a fresh tabled engine and on the bottom-up
   /// engine; answers must agree and each tabled query must stay within
-  /// the budget.
+  /// the budget. With `gate_stratified`, also on a fresh stratified
+  /// prover, which must agree within 2x the bottom-up steps.
   void Check(const std::string& label, const RuleBase& rules,
-             const Database& db, const std::vector<std::string>& queries) {
+             const Database& db, const std::vector<std::string>& queries,
+             bool gate_stratified = true) {
     const int64_t budget = kStepsPerFact * db.size();
     EngineOptions options;
     // A runaway search trips at once instead of burning the default 500M
@@ -141,18 +150,33 @@ class CostTest : public ::testing::Test {
       EXPECT_EQ(*got, *expected) << "tabled disagrees with bottom-up";
       EXPECT_LE(tabled_steps, budget)
           << "tabled steps not within " << kStepsPerFact << " x |DB|";
+      int64_t stratified_steps = 0;
+      if (gate_stratified) {
+        EngineOptions stratified_options;
+        stratified_options.max_steps = 10 * bottom_up_steps;
+        StratifiedProver stratified(&rules, &db, stratified_options);
+        auto proved = Run(&stratified, query, &stratified_steps);
+        ASSERT_TRUE(proved.ok()) << proved.status();
+        EXPECT_EQ(*proved, *expected)
+            << "stratified disagrees with bottom-up";
+        EXPECT_LE(stratified_steps, 2 * bottom_up_steps)
+            << "stratified steps not within 2 x bottom-up's";
+      }
       std::printf("[cost] %-18s |DB|=%-6lld %-36s tabled=%-6lld "
-                  "(%.2f/fact) bottomup=%lld answers=%zu\n",
+                  "(%.2f/fact) bottomup=%lld stratified=%s answers=%zu\n",
                   label.c_str(), static_cast<long long>(db.size()),
                   text.c_str(), static_cast<long long>(tabled_steps),
                   static_cast<double>(tabled_steps) /
                       static_cast<double>(db.size()),
-                  static_cast<long long>(bottom_up_steps), expected->size());
+                  static_cast<long long>(bottom_up_steps),
+                  gate_stratified ? std::to_string(stratified_steps).c_str()
+                                  : "-",
+                  expected->size());
     }
   }
 
   void CheckFamily(const char* program, const char* direction,
-                   const Family& family) {
+                   const Family& family, bool gate_stratified) {
     RuleBase rules = Parse(program);
     Database db(symbols_);
     for (const auto& [from, to] : family.edges) {
@@ -164,7 +188,8 @@ class CostTest : public ::testing::Test {
     Check(family.name + "/" + direction, rules, db,
           {"reach(n0, X)", "reach(n3, X)", "reach(X, " + N(mid) + ")",
            "reach(n0, " + N(last) + ")", "reach(" + N(last) + ", n0)",
-           "reach(n0, t)", "reach(X, t)"});
+           "reach(n0, t)", "reach(X, t)"},
+          gate_stratified);
   }
 };
 
@@ -172,9 +197,14 @@ TEST_F(CostTest, ReachOverChainsCyclesAndShortcutDags) {
   for (const char* program : {kRightReach, kLeftReach}) {
     const char* direction = program == kRightReach ? "right" : "left";
     for (int n : {20, 60, 500}) {
-      CheckFamily(program, direction, Chain(n));
-      CheckFamily(program, direction, Cycle(n));
-      CheckFamily(program, direction, ShortcutDag(n));
+      // The stratified prover builds the whole closure per query, as
+      // bottom-up does; at n = 500 that would take the test past 10 s.
+      // n = 20 and 60 catch a super-quadratic fixpoint: a cubic one reads
+      // about 10x bottom-up's steps on cycle20 already.
+      const bool gate_stratified = n < 500;
+      CheckFamily(program, direction, Chain(n), gate_stratified);
+      CheckFamily(program, direction, Cycle(n), gate_stratified);
+      CheckFamily(program, direction, ShortcutDag(n), gate_stratified);
     }
   }
 }
@@ -259,6 +289,72 @@ TEST_F(CostTest, BoundQueryIgnoresUnrelatedChains) {
                   static_cast<long long>(db.size()), probe.query.c_str(),
                   static_cast<long long>(steps));
     }
+  }
+}
+
+// Programs with Σ recursion, minimized from random programs (5
+// constants, 10 rules, hypothetical probability 0.35, every defined
+// predicate queried open, max_steps 2M) on which a depth-first Σ search
+// that forgets failures pruned against a shallower goal trips the budget
+// (seed34, seed232) or spends over 500x the tabled engine's steps
+// (seed29). The stratified prover must agree with the tabled engine
+// within 100x its steps (ROADMAP item 2's criterion).
+TEST_F(CostTest, SigmaRecursionFromRandomPrograms) {
+  struct Program {
+    const char* name;
+    const char* text;
+  };
+  const Program programs[] = {
+      {"seed29",
+       "p1(V0, V1) <- p1(V2, c3).\n"
+       "p1(c3, V2) <- p1(c3, V1)[add: e2], e0(V2, V1)[add: e2].\n"
+       "e0(c0, c1). e0(c1, c2). e0(c1, c4)."},
+      {"seed34",
+       "p4(V2, c4) <- e0, p4(V0, V2)[add: e1].\n"
+       "p4(V2, V1) <- ~e2(V2, V1), e1[add: e0], p4(V2, V0).\n"
+       "e2(c1, c2). e2(c4, c3). e2(c0, c4). e0."},
+      {"seed232",
+       "p0(V1) <- p0(V0)[add: e2(V2, c0)], ~e2(c3, V1).\n"
+       "e0(c2, c3). e0(c1, c4)."},
+  };
+  for (const Program& program : programs) {
+    SCOPED_TRACE(program.name);
+    auto symbols = std::make_shared<SymbolTable>();
+    auto parsed = ParseProgram(program.text, symbols);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const RuleBase& rules = parsed->rules;
+    const Database& db = parsed->facts;
+    EngineOptions options;
+    options.max_steps = 2'000'000;
+    int64_t tabled_steps = 0;
+    int64_t stratified_steps = 0;
+    for (PredicateId pred = 0; pred < symbols->num_predicates(); ++pred) {
+      if (!rules.IsDefined(pred)) continue;
+      std::string text = symbols->PredicateName(pred);
+      for (int i = 0; i < symbols->PredicateArity(pred); ++i) {
+        text += (i == 0 ? "(X" : ", X") + std::to_string(i);
+      }
+      if (symbols->PredicateArity(pred) > 0) text += ")";
+      SCOPED_TRACE(text);
+      auto query = ParseQuery(text, symbols.get());
+      ASSERT_TRUE(query.ok()) << query.status();
+      TabledEngine tabled(&rules, &db, options);
+      int64_t steps = 0;
+      auto expected = Run(&tabled, *query, &steps);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      tabled_steps += steps;
+      StratifiedProver stratified(&rules, &db, options);
+      auto got = Run(&stratified, *query, &steps);
+      ASSERT_TRUE(got.ok()) << got.status();
+      stratified_steps += steps;
+      EXPECT_EQ(*got, *expected) << "stratified disagrees with tabled";
+    }
+    EXPECT_LE(stratified_steps, 100 * std::max<int64_t>(1, tabled_steps))
+        << "stratified steps not within 100 x tabled's";
+    std::printf("[cost] %-18s tabled=%lld stratified=%lld\n",
+                ("sigma/" + std::string(program.name)).c_str(),
+                static_cast<long long>(tabled_steps),
+                static_cast<long long>(stratified_steps));
   }
 }
 

@@ -59,18 +59,6 @@ take(mary, his101).
 take(mary, eng201).
 )";
 
-std::unique_ptr<Engine> MakeEngine(const std::string& kind,
-                                   const RuleBase* rules, const Database* db,
-                                   EngineOptions options = {}) {
-  if (kind == "tabled") {
-    return std::make_unique<TabledEngine>(rules, db, options);
-  }
-  if (kind == "stratified") {
-    return std::make_unique<StratifiedProver>(rules, db, options);
-  }
-  return std::make_unique<BottomUpEngine>(rules, db, options);
-}
-
 class CrossQueryTest : public ::testing::Test {
  protected:
   std::shared_ptr<SymbolTable> symbols_ = std::make_shared<SymbolTable>();
@@ -156,7 +144,7 @@ TEST_F(CrossQueryTest, UndeclaredRuleHypothesisRejectedAtInit) {
       "bogus(S) <- can_grad(S)[add: grad(S)].\n");
   Database db = ParseFacts(kCoursesFacts);
   for (const char* kind : {"tabled", "stratified", "bottomup"}) {
-    auto engine = MakeEngine(kind, &rules, &db);
+    auto engine = MakeEngine(kind, &rules, &db).value();
     Status s = engine->Init();
     ASSERT_FALSE(s.ok()) << kind << " accepted an unrestricted insertion";
     EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << kind << ": " << s;
@@ -173,7 +161,7 @@ TEST_F(CrossQueryTest, UndeclaredQueryHypothesisRejected) {
   Query allowed = MustQuery("grad(tony)[add: take(tony, cs452)]");
   Query denied = MustQuery("grad(tony)[add: grad(mary)]");
   for (const char* kind : {"tabled", "stratified", "bottomup"}) {
-    auto engine = MakeEngine(kind, &rules, &db);
+    auto engine = MakeEngine(kind, &rules, &db).value();
     auto ok = engine->ProveQuery(allowed);
     ASSERT_TRUE(ok.ok()) << kind << ": " << ok.status();
     EXPECT_TRUE(*ok) << kind;
@@ -187,7 +175,7 @@ TEST_F(CrossQueryTest, UndeclaredQueryHypothesisRejected) {
     EXPECT_EQ(answers.status().code(), StatusCode::kFailedPrecondition);
   }
   // Deletions check the retractable set (TabledEngine only).
-  auto tabled = MakeEngine("tabled", &rules, &db);
+  auto tabled = MakeEngine("tabled", &rules, &db).value();
   auto del_ok = tabled->ProveQuery(MustQuery("grad(mary)[del: take(mary, eng201)]"));
   ASSERT_TRUE(del_ok.ok()) << del_ok.status();
   EXPECT_FALSE(*del_ok);
@@ -433,10 +421,10 @@ TEST(CrossQueryDifferential, BoardOnOffBitIdenticalAcrossEngines) {
         MemoBoard board;
         board.BeginEpoch(1);
         auto cold = MakeEngine(kind, &fixture.rules, &fixture.db,
-                               engine_options);
+                               engine_options).value();
         cold->AttachMemoBoard(&board);
         auto warm = MakeEngine(kind, &fixture.rules, &fixture.db,
-                               engine_options);
+                               engine_options).value();
         warm->AttachMemoBoard(&board);
         for (Engine* engine : {cold.get(), warm.get()}) {
           Status pinned = PinDomain(engine, fixture.rules, domain);

@@ -235,6 +235,18 @@ TEST_F(DeletionTest, QueryLevelDeletionRejectedByOtherEngines) {
     EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented);
   }
   {
+    // Built on the tabled prover, which could evaluate the deletion; it
+    // must refuse it all the same, in both query entry points.
+    StratifiedProver prover(&rules, &db);
+    ASSERT_TRUE(prover.Init().ok());
+    auto proved = prover.ProveQuery(*query);
+    ASSERT_FALSE(proved.ok());
+    EXPECT_EQ(proved.status().code(), StatusCode::kUnimplemented);
+    auto answers = prover.Answers(*query);
+    ASSERT_FALSE(answers.ok());
+    EXPECT_EQ(answers.status().code(), StatusCode::kUnimplemented);
+  }
+  {
     TabledEngine engine(&rules, &db);
     ASSERT_TRUE(engine.Init().ok());
     auto r = engine.ProveQuery(*query);

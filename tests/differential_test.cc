@@ -336,17 +336,6 @@ TEST(DifferentialTest, IncrementalDeltaMatchesRebuildAcrossInterleavings) {
   options.hypothetical_probability = 0.25;
   options.negation_probability = 0.4;
 
-  auto make_engine = [](const std::string& name, const ProgramFixture& f,
-                        const EngineOptions& eo) -> std::unique_ptr<Engine> {
-    if (name == "tabled") {
-      return std::make_unique<TabledEngine>(&f.rules, &f.db, eo);
-    }
-    if (name == "stratified") {
-      return std::make_unique<StratifiedProver>(&f.rules, &f.db, eo);
-    }
-    return std::make_unique<BottomUpEngine>(&f.rules, &f.db, eo);
-  };
-
   int interleavings_checked = 0;
   // Bottom-up epochs whose delta reached a negated premise of a program
   // without hypothetical premises: DRed must repair them, never
@@ -366,7 +355,8 @@ TEST(DifferentialTest, IncrementalDeltaMatchesRebuildAcrossInterleavings) {
       engine_options.max_steps = 3'000'000;
 
       std::unique_ptr<Engine> live =
-          make_engine(config, fixture, engine_options);
+          MakeEngine(config, &fixture.rules, &fixture.db, engine_options)
+              .value();
       ASSERT_TRUE(live->Init().ok());
       ASSERT_TRUE(PinDomain(live.get(), fixture.rules,
                             AllConstants(*fixture.symbols))
@@ -422,7 +412,8 @@ TEST(DifferentialTest, IncrementalDeltaMatchesRebuildAcrossInterleavings) {
           break;
         }
         std::unique_ptr<Engine> rebuilt =
-            make_engine(config, fixture, engine_options);
+            MakeEngine(config, &fixture.rules, &fixture.db, engine_options)
+                .value();
         auto scratch = PinnedDeriveAll(rebuilt.get(), fixture);
         if (!scratch.ok()) {
           ASSERT_EQ(scratch.status().code(), StatusCode::kResourceExhausted);

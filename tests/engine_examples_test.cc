@@ -5,7 +5,6 @@
 
 #include "engine/bottom_up.h"
 #include "engine/stratified_prover.h"
-#include "engine/tabled.h"
 #include "parser/parser.h"
 #include "queries/chains.h"
 #include "queries/hamiltonian.h"
@@ -48,11 +47,11 @@ std::unique_ptr<Engine> MakeEngine(EngineKind kind, const RuleBase* rules,
                                    EngineOptions options = EngineOptions()) {
   switch (kind) {
     case EngineKind::kBottomUp:
-      return std::make_unique<BottomUpEngine>(rules, db, options);
+      return MakeEngine("bottomup", rules, db, options).value();
     case EngineKind::kTabled:
-      return std::make_unique<TabledEngine>(rules, db, options);
+      return MakeEngine("tabled", rules, db, options).value();
     case EngineKind::kStratified:
-      return std::make_unique<StratifiedProver>(rules, db, options);
+      return MakeEngine("stratified", rules, db, options).value();
     case EngineKind::kReference:
       return std::make_unique<ReferenceEngine>(rules, db);
   }

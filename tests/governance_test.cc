@@ -22,36 +22,12 @@
 #include <gtest/gtest.h>
 
 #include "engine/bottom_up.h"
-#include "engine/stratified_prover.h"
-#include "engine/tabled.h"
 #include "parser/parser.h"
 
 namespace hypo {
 namespace {
 
 const char* const kConfigs[] = {"tabled", "stratified", "bottomup"};
-
-std::unique_ptr<Engine> MakeEngine(const std::string& kind,
-                                   const RuleBase* rules, const Database* db,
-                                   EngineOptions options) {
-  if (kind == "tabled") {
-    return std::make_unique<TabledEngine>(rules, db, options);
-  }
-  if (kind == "stratified") {
-    return std::make_unique<StratifiedProver>(rules, db, options);
-  }
-  return std::make_unique<BottomUpEngine>(rules, db, options);
-}
-
-EngineOptions* MutableOptions(Engine* engine) {
-  if (auto* t = dynamic_cast<TabledEngine*>(engine)) {
-    return t->mutable_options();
-  }
-  if (auto* s = dynamic_cast<StratifiedProver*>(engine)) {
-    return s->mutable_options();
-  }
-  return dynamic_cast<BottomUpEngine*>(engine)->mutable_options();
-}
 
 class GovernanceTest : public ::testing::Test {
  protected:
@@ -92,7 +68,7 @@ TEST_F(GovernanceTest, DeadlineTripsMidFixpointAndInstanceRecovers) {
   for (const char* kind : kConfigs) {
     EngineOptions options;
     options.timeout_micros = 1;
-    auto engine = MakeEngine(kind, &rules, &db, options);
+    auto engine = MakeEngine(kind, &rules, &db, options).value();
 
     auto tripped = engine->ProveFact(*goal);
     ASSERT_FALSE(tripped.ok()) << kind << " ignored an expired deadline";
@@ -108,7 +84,7 @@ TEST_F(GovernanceTest, DeadlineTripsMidFixpointAndInstanceRecovers) {
         << kind << ": headroom at completion should be negative on a trip";
 
     // Same instance, deadline lifted: the answer must match a fresh run.
-    MutableOptions(engine.get())->timeout_micros = 0;
+    engine->mutable_options()->timeout_micros = 0;
     engine->ResetStats();
     auto answer = engine->ProveFact(*goal);
     ASSERT_TRUE(answer.ok()) << kind << ": " << answer.status();
@@ -132,12 +108,12 @@ TEST_F(GovernanceTest, DeadlineTripsMidHypotheticalMaterialization) {
   ASSERT_TRUE(warm.ok() && hypo.ok());
 
   for (const char* kind : kConfigs) {
-    auto engine = MakeEngine(kind, &rules, &db, EngineOptions());
+    auto engine = MakeEngine(kind, &rules, &db, EngineOptions()).value();
     auto warmed = engine->ProveFact(*warm);
     ASSERT_TRUE(warmed.ok()) << kind << ": " << warmed.status();
     ASSERT_TRUE(*warmed) << kind;
 
-    MutableOptions(engine.get())->timeout_micros = 1;
+    engine->mutable_options()->timeout_micros = 1;
     auto tripped = engine->ProveQuery(*hypo);
     ASSERT_FALSE(tripped.ok())
         << kind << " ignored the deadline inside a hypothetical state";
@@ -146,7 +122,7 @@ TEST_F(GovernanceTest, DeadlineTripsMidHypotheticalMaterialization) {
 
     // The aborted child must not poison the instance: lift the deadline
     // and demand the same hypothetical answer.
-    MutableOptions(engine.get())->timeout_micros = 0;
+    engine->mutable_options()->timeout_micros = 0;
     engine->ResetStats();
     auto answer = engine->ProveQuery(*hypo);
     ASSERT_TRUE(answer.ok()) << kind << ": " << answer.status();
@@ -168,7 +144,7 @@ TEST_F(GovernanceTest, MemoryBudgetTripsAndInstanceRecovers) {
   for (const char* kind : kConfigs) {
     EngineOptions options;
     options.max_memory_bytes = 1024;
-    auto engine = MakeEngine(kind, &rules, &db, options);
+    auto engine = MakeEngine(kind, &rules, &db, options).value();
 
     auto tripped = engine->ProveFact(*goal);
     ASSERT_FALSE(tripped.ok()) << kind << " ignored a 1KiB memory budget";
@@ -180,7 +156,7 @@ TEST_F(GovernanceTest, MemoryBudgetTripsAndInstanceRecovers) {
         << kind << ": " << tripped.status();
     EXPECT_GT(engine->stats().budget_bytes_peak, 1024) << kind;
 
-    MutableOptions(engine.get())->max_memory_bytes = 0;
+    engine->mutable_options()->max_memory_bytes = 0;
     engine->ResetStats();
     auto answer = engine->ProveFact(*goal);
     ASSERT_TRUE(answer.ok()) << kind << ": " << answer.status();
@@ -203,7 +179,7 @@ TEST_F(GovernanceTest, PreCancelledTokenAbortsAndResetRecovers) {
     EngineOptions options;
     options.cancel = std::make_shared<CancellationToken>();
     options.cancel->Cancel();
-    auto engine = MakeEngine(kind, &rules, &db, options);
+    auto engine = MakeEngine(kind, &rules, &db, options).value();
 
     auto tripped = engine->ProveFact(*goal);
     ASSERT_FALSE(tripped.ok()) << kind << " ignored a cancelled token";
@@ -222,7 +198,7 @@ TEST_F(GovernanceTest, PreCancelledTokenAbortsAndResetRecovers) {
     auto answers = engine->Answers(*open);
     ASSERT_TRUE(answers.ok()) << kind << ": " << answers.status();
     std::sort(answers->begin(), answers->end());
-    auto fresh = MakeEngine(kind, &rules, &db, EngineOptions());
+    auto fresh = MakeEngine(kind, &rules, &db, EngineOptions()).value();
     auto reference = fresh->Answers(*open);
     ASSERT_TRUE(reference.ok()) << reference.status();
     std::sort(reference->begin(), reference->end());
@@ -246,7 +222,7 @@ TEST_F(GovernanceTest, AsyncCancelAbortsInFlightQuery) {
       EngineOptions options;
       auto token = std::make_shared<CancellationToken>();
       options.cancel = token;
-      auto engine = MakeEngine(kind, &rules, &db, options);
+      auto engine = MakeEngine(kind, &rules, &db, options).value();
 
       std::thread canceller([token] {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -291,7 +267,7 @@ TEST_F(GovernanceTest, ArmedGuardCountersReportUntrippedQueries) {
     options.timeout_micros = 60'000'000;
     options.max_memory_bytes = 1LL << 40;
     options.cancel = std::make_shared<CancellationToken>();
-    auto engine = MakeEngine(kind, &rules, &db, options);
+    auto engine = MakeEngine(kind, &rules, &db, options).value();
 
     auto proved = engine->ProveFact(*goal);
     ASSERT_TRUE(proved.ok()) << kind << ": " << proved.status();

@@ -48,21 +48,6 @@ std::string Render(const Fact& fact, const SymbolTable& symbols) {
   return out + ")";
 }
 
-std::vector<ConstId> QueryConstants(const Query& query) {
-  std::vector<ConstId> out;
-  auto collect = [&out](const Atom& atom) {
-    for (const Term& t : atom.args) {
-      if (t.is_const()) out.push_back(t.const_id());
-    }
-  };
-  for (const Premise& p : query.premises) {
-    collect(p.atom);
-    for (const Atom& b : p.additions) collect(b);
-    for (const Atom& c : p.deletions) collect(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 ReferenceEngine::ReferenceEngine(const RuleBase* rulebase, const Database* db,
