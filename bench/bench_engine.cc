@@ -1,6 +1,6 @@
 // Engine gauges: the §5.2.2 bottom-up fixpoint machinery, the child-state
 // lattice, incremental repair, overlay-heavy tabled proofs and the
-// server's cross-query and journaled paths.
+// server's cross-query, journaled and epoch-turn paths.
 //
 // PROVE_Δ re-applies rules to a fixpoint. The bottom-up engine restricts
 // one positive premise per rule version to the tuples derived in the
@@ -394,6 +394,89 @@ void BM_JournaledMutationBatch(benchmark::State& state) {
   if (!dir.empty()) std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_JournaledMutationBatch)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
+/// The server's epoch turn on the registrar shape cost_test checks
+/// (Bonner's Examples 1-3: 64 courses in four levels with two
+/// prerequisites each, 1000 students with eight courses taken), through a
+/// QueryServer with a pool of two engines. Each iteration is one commit,
+/// cycling through an enrolment, a drop and a prerequisite swap, so the
+/// gauge reads the turn's own cost: base mutation, reseal, and both
+/// engines' ApplyBaseDelta. One warm-up query first gives the bottom-up
+/// engines a base model to repair. Counters, per commit:
+/// `domain_rebuilds` (engine Init()s) and `index_sort_micros` (sorting or
+/// merging the base's permutation indexes).
+///   /0 — tabled; /1 — bottom-up.
+void BM_EpochTurn(benchmark::State& state) {
+  std::string program =
+      "needs(C, X) <- prereq(C, X).\n"
+      "needs(C, X) <- prereq(C, Y), needs(Y, X).\n"
+      "missing(S, C) <- student(S), needs(C, P), ~take(S, P).\n"
+      "open(S, C) <- student(S), course(C), ~missing(S, C), ~take(S, C).\n";
+  auto C = [](int c) { return "c" + std::to_string(c); };
+  auto S = [](int s) { return "s" + std::to_string(s); };
+  for (int c = 0; c < 64; ++c) {
+    program += "course(" + C(c) + ").\n";
+    if (c < 16) continue;
+    const int below = (c / 16 - 1) * 16;
+    program += "prereq(" + C(c) + ", " + C(below + c % 16) + ").\n";
+    program += "prereq(" + C(c) + ", " + C(below + (c * 7 + 3) % 16) + ").\n";
+  }
+  for (int s = 0; s < 1000; ++s) {
+    program += "student(" + S(s) + ").\n";
+    for (int k = 0; k < 8; ++k) {
+      program += "take(" + S(s) + ", " + C((s * 13 + k * 7) % 64) + ").\n";
+    }
+  }
+  ServerOptions options;
+  options.engine_name = state.range(0) == 0 ? "tabled" : "bottomup";
+  options.pool_size = 2;
+  auto server = QueryServer::Create(program, options);
+  HYPO_CHECK(server.ok()) << server.status();
+  HYPO_CHECK((*server)->Query("open(s5, c40)").ok());
+  const QueryServer::Counters before = (*server)->counters();
+  int64_t commits = 0;
+  bool swapped = false;
+  for (auto _ : state) {
+    // An enrolment in a course the student has not taken (the ninth of
+    // the sequence above) and the matching drop; a swap toggles one of
+    // c40's two prerequisites.
+    const int student = static_cast<int>((commits / 3) % 1000);
+    const std::string take =
+        "take(" + S(student) + ", " + C((student * 13 + 8 * 7) % 64) + ")";
+    StatusOr<MutationOutcome> outcome = Status::OK();
+    switch (commits % 3) {
+      case 0:
+        outcome = (*server)->Insert(take);
+        break;
+      case 1:
+        outcome = (*server)->Retract(take);
+        break;
+      default: {
+        auto from = (*server)->ParseMutation(
+            swapped ? "prereq(c40, c20)" : "prereq(c40, c24)", false);
+        auto to = (*server)->ParseMutation(
+            swapped ? "prereq(c40, c24)" : "prereq(c40, c20)", true);
+        HYPO_CHECK(from.ok() && to.ok());
+        outcome = (*server)->ApplyBatch({*from, *to});
+        swapped = !swapped;
+        break;
+      }
+    }
+    HYPO_CHECK(outcome.ok()) << outcome.status();
+    ++commits;
+  }
+  const QueryServer::Counters after = (*server)->counters();
+  const double turns = static_cast<double>(std::max<int64_t>(commits, 1));
+  state.counters["domain_rebuilds"] =
+      static_cast<double>(after.repair.domain_rebuilds -
+                          before.repair.domain_rebuilds) /
+      turns;
+  state.counters["index_sort_micros"] =
+      static_cast<double>(after.index_sort_micros - before.index_sort_micros) /
+      turns;
+  state.SetLabel(options.engine_name);
+}
+BENCHMARK(BM_EpochTurn)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace hypo

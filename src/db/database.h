@@ -54,17 +54,19 @@ constexpr int64_t kApproxIndexEntryBytes = 16;
 /// This is both the extensional database of Definition 3 and the storage
 /// used for derived models inside the engines. Tuples are stored per
 /// predicate in insertion order (for deterministic iteration) with O(1)
-/// dedup. Mostly append-only; Retract/ClearRelation support the
-/// long-lived server's epoch mutations and invalidate the affected
-/// relation's column indexes (rebuilt lazily on the next probe).
+/// dedup. Mostly append-only; Retract/RetractBatch/ClearRelation support
+/// the long-lived server's epoch mutations. Retraction patches the
+/// relation's column indexes in place (erased rows dropped, later row ids
+/// renumbered), so an epoch turn costs what it changes.
 ///
 /// Access paths: every (predicate, ColumnMask) signature gets an index.
 /// Unsealed, that is a lazily extended hash-bucket index. On a database
 /// with EnableSortedIndexes(), sealing instead sorts a permutation of row
 /// ids per registered mask, so sealed probes binary-search to a
-/// contiguous sorted range — the merge-join access path — and re-sealing
-/// an unchanged relation is O(1) via a version check (crucial when many
-/// hypothetical child states re-seal the same base).
+/// contiguous sorted range — the merge-join access path. Re-sealing an
+/// unchanged relation is O(1) (crucial when many hypothetical child
+/// states re-seal the same base), and re-sealing a grown one merges just
+/// the appended rows into the permutation.
 class Database {
  public:
   explicit Database(std::shared_ptr<SymbolTable> symbols)
@@ -98,11 +100,20 @@ class Database {
                 const std::vector<std::string_view>& args);
 
   /// Removes `fact` if present; returns true when something was removed.
-  /// Order-preserving for the remaining tuples. Drops the predicate's
-  /// column indexes (stored row ids shift) and auto-unseals, exactly
-  /// like Insert. O(|relation|) — retraction is an epoch-boundary
-  /// operation, not a join-loop one.
+  /// Order-preserving for the remaining tuples. Every column index of the
+  /// relation is patched rather than dropped: a sorted permutation loses
+  /// the row's entry, its later row ids shift down by one and its dense
+  /// `starts` offsets are rebuilt; hash buckets get the same drop and
+  /// renumbering. Auto-unseals like Insert. O(|relation|) per relation
+  /// touched (a compaction pass, no rehash and no re-sort): retraction is
+  /// an epoch-boundary operation, not a join-loop one.
   bool Retract(const Fact& fact);
+
+  /// Removes every present fact of `facts` (duplicates and absent facts
+  /// are skipped); returns how many were removed. The same result as
+  /// retracting them one by one, but each touched relation is compacted
+  /// and its indexes patched once for the whole batch.
+  int64_t RetractBatch(const std::vector<Fact>& facts);
 
   /// Removes every tuple of `pred`; returns how many were removed. Used
   /// by the engines' incremental repair to rebuild one stratum's derived
@@ -173,8 +184,7 @@ class Database {
   ///
   /// Unsealed, the hash index for a (predicate, column-mask) pair is
   /// built lazily on first probe and extended incrementally as the
-  /// relation grows — safe because relations are append-only between
-  /// epoch boundaries. Sealed with sorted indexes enabled, the probe
+  /// relation grows (retraction patches it in place). Sealed with sorted indexes enabled, the probe
   /// binary-searches the mask's sorted permutation instead. `mask` must
   /// be non-zero and `key` must have exactly popcount(mask) values.
   RowRange ProbeIndex(PredicateId pred, ColumnMask mask,
@@ -254,10 +264,11 @@ class Database {
 
   /// Seals the database for concurrent read-only probing: every
   /// registered column index is brought up to date — sorted permutations
-  /// rebuilt where enabled (O(1) when the relation is unchanged since
-  /// they were last sorted), hash buckets extended to the full relation
-  /// otherwise — and until UnsealIndexes() every probe is strictly
-  /// read-only. A sealed probe for a signature with no up-to-date index
+  /// where enabled (O(1) when one already covers its relation; otherwise
+  /// the rows appended since the last sort are sorted and merged in, a
+  /// full sort only the first time), hash buckets extended to the full
+  /// relation otherwise — and until UnsealIndexes() every probe is
+  /// strictly read-only. A sealed probe for a signature with no up-to-date index
   /// returns ScanAllMarker() instead of lazily building one. Mutating a
   /// sealed database through the typed Insert/Retract/ClearRelation
   /// paths drops the seal (a new epoch begins); doing so with readers
@@ -365,10 +376,13 @@ class Database {
  private:
   /// One per-mask access path. Unsealed service comes from the lazily
   /// extended hash buckets covering rows [0, built_upto). On sorted-index
-  /// databases the seal replaces them with `perm`: every row id, ordered
-  /// by the masked columns and then by row id (so equal-key runs ascend
-  /// in insertion order — the same visit order buckets give). `perm` is
-  /// valid iff sorted_version == the relation's version.
+  /// databases the seal replaces them with `perm` and sets `sorted`: the
+  /// row ids [0, perm.size()), ordered by the masked columns and then by
+  /// row id (so equal-key runs ascend in insertion order — the same visit
+  /// order buckets give). Both always cover a prefix of the relation:
+  /// appends extend it past them, retraction patches both in place, and
+  /// the next seal merges the appended rows into `perm`. `perm` serves
+  /// probes iff it covers every row (SortedCurrent).
   struct ColumnIndex {
     std::unordered_map<Tuple, std::vector<RowId>, TupleHash> buckets;
     size_t built_upto = 0;
@@ -385,7 +399,7 @@ class Database {
     /// instead of a binary search. Empty when unbuilt or too sparse.
     std::vector<uint32_t> starts;
     ConstId key_min = 0;
-    uint64_t sorted_version = 0;
+    bool sorted = false;
   };
 
   struct Relation {
@@ -393,10 +407,12 @@ class Database {
     ColumnStore store;
     // Generalized access paths, registered/built on demand per mask.
     mutable std::unordered_map<ColumnMask, ColumnIndex> column_indexes;
-    // Bumped on every mutation; sorted permutations cache it so an
-    // unchanged relation re-seals without re-sorting.
-    uint64_t version = 1;
   };
+
+  /// True iff `ci`'s sorted permutation covers every row of `rel`.
+  static bool SortedCurrent(const Relation& rel, const ColumnIndex& ci) {
+    return ci.sorted && ci.perm.size() == static_cast<size_t>(rel.store.size());
+  }
 
   /// How ProbeInternal answered; consumed by ForEachCandidate and
   /// repackaged as a RowRange by the public ProbeIndex.
@@ -426,19 +442,23 @@ class Database {
   /// not be called while sealed.
   ColumnIndex& ExtendIndex(const Relation& rel, ColumnMask mask) const;
 
-  /// (Re)sorts the permutation index for `mask`; O(1) when the relation
-  /// is unchanged since the last sort. Drops the mask's hash buckets —
-  /// the sorted permutation supersedes them.
+  /// Brings the permutation index for `mask` up to date: O(1) when it
+  /// already covers the relation, a merge of the rows appended since
+  /// otherwise (a full sort the first time). Drops the mask's hash
+  /// buckets — the sorted permutation supersedes them.
   void SortIndex(const Relation& rel, ColumnMask mask, ColumnIndex& ci) const;
+
+  /// Rebuilds `ci`'s dense single-column `starts` offsets from its sorted
+  /// keys; leaves them empty for a multi-column index or a sparse domain.
+  static void BuildStarts(ColumnIndex& ci);
 
   /// Refcount bookkeeping behind constants(): every tuple position holds
   /// one reference to its constant.
   void AddConstantRefs(const Tuple& args);
-  void DropConstantRefs(const Tuple& args);
+  void DropConstantRefs(const RowRef& row);
 
-  /// Discards every column index of `rel` (with byte accounting): stored
-  /// row ids are invalidated by retraction, so the indexes are rebuilt
-  /// lazily from scratch on the next unsealed probe.
+  /// Discards every column index of `rel` (with byte accounting), for a
+  /// relation about to be destroyed.
   void DropRelationIndexes(const Relation& rel);
 
   /// Exact bytes of the arrays a sorted seal builds for `ci`.
@@ -477,6 +497,11 @@ class Database {
       if (!empty()) BumpCursorEpoch();
     }
   };
+
+  /// Erases `rows` (ascending distinct row ids of `it`'s relation) from
+  /// the relation, patching its column indexes; erases the relation
+  /// itself when it empties. The one retraction path.
+  void EraseRows(RelationMap::iterator it, const std::vector<RowId>& rows);
 
   static inline std::atomic<uint64_t> cursor_epoch_{1};
 

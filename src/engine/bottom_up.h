@@ -79,8 +79,9 @@ class BottomUpEngine : public Engine {
   /// stratum — insertion semi-naive rounds for growth, DRed
   /// delete-and-rederive for retractions (negated premises included), and
   /// a recompute-and-diff fallback for strata with hypothetical premises
-  /// the delta reaches. Falls back to a full Init() when the domain
-  /// changed and some rule program enumerates it.
+  /// the delta reaches. The domain follows the delta in place
+  /// (EngineDomain::ApplyBaseDelta); a full Init() only when it changed
+  /// and some rule program enumerates it.
   Status ApplyBaseDelta(const BaseDelta& batch) override;
 
   /// Shares the base state's full model with a server-lifetime MemoBoard:
@@ -234,10 +235,6 @@ class BottomUpEngine : public Engine {
   /// derived child un-hides a lower fact instead of copying it into ext.
   void InsertDerived(State* state, const Fact& fact);
 
-  /// Installs dom(R, DB): the domain, its membership set and the
-  /// fingerprint that keys MemoBoard models.
-  void SetDomain(std::vector<ConstId> domain);
-
   /// Re-initializes the domain (and drops all memoized states) if the
   /// query mentions constants outside the current domain.
   Status EnsureConstants(const Query& query);
@@ -248,15 +245,10 @@ class BottomUpEngine : public Engine {
   Status EnsureFactConstants(const Fact& fact);
 
   /// Recomputes plans / delta info / static probe signatures / compiled
-  /// programs over the rulebase's strata. Called by Init() and by
-  /// MaybeReplanForCardinality.
+  /// programs over the rulebase's strata. Called by Init() and, when a
+  /// watched base cardinality left its 2x band (PlannedCardinalities),
+  /// by ApplyBaseDelta (plans AND compiled programs; models untouched).
   Status RebuildPlans();
-
-  /// Server-epoch plan staleness (ApplyBaseDelta): when the netted delta
-  /// moved any watched base relation's cardinality by more than 2x in
-  /// either direction since the plans were ordered, re-runs
-  /// RebuildPlans (plans AND compiled programs; models untouched).
-  Status MaybeReplanForCardinality();
 
   /// Ensures the state for `ckey`/`key` exists with its model complete,
   /// and returns it. States are heap nodes, so a child inserted while its
@@ -363,7 +355,7 @@ class BottomUpEngine : public Engine {
   /// Evaluates one rule version over `ctx->state`, inserting derived
   /// heads into the model; predicates that gained tuples go to `changed`
   /// (a set: one entry per predicate per round, not per fact), and the
-  /// new facts themselves to `next_delta`.
+  /// new facts themselves to `next_delta` (unless null).
   Status EvaluateRule(int rule_index, EvalCtx* ctx, Database* next_delta,
                       std::unordered_set<PredicateId>* changed);
 
@@ -424,18 +416,15 @@ class BottomUpEngine : public Engine {
   /// the domain, and a domain change re-Inits.
   bool enumerates_domain_ = false;
   /// Base-relation cardinalities the current plans were ordered against
-  /// (positive-premise predicates of the rules). A server epoch whose
-  /// netted delta moves any of them by more than 2x triggers a replan +
-  /// recompile (ApplyBaseDelta).
-  std::vector<std::pair<PredicateId, int64_t>> planned_counts_;
+  /// (positive-premise predicates of the rules).
+  PlannedCardinalities planned_;
   /// Every (predicate, probe-mask) signature any plan step can probe at
   /// runtime, deduplicated: the rules' plans, and each NegVersion's plan
   /// once compiled. A top-level region (and the server, through
   /// BaseProbeSignatures) PrepareIndex()es all of them before sealing the
   /// base, so sealed probes find an up-to-date index.
   std::vector<std::pair<PredicateId, ColumnMask>> static_sigs_;
-  std::vector<ConstId> domain_;
-  std::unordered_set<ConstId> domain_set_;
+  EngineDomain domain_;
   std::vector<ConstId> extra_constants_;
 
   FactInterner interner_;
@@ -447,11 +436,10 @@ class BottomUpEngine : public Engine {
 
   /// Persistent cross-query cache (optional; see AttachMemoBoard). Only
   /// the base state's whole model is shared — hypothetical child states
-  /// stay engine-local (their keys are local fact ids). domain_fp_ keys
-  /// published models so engines whose domains diverged (extra query
-  /// constants) never cross-adopt.
+  /// stay engine-local (their keys are local fact ids). The domain's
+  /// fingerprint keys published models so engines whose domains diverged
+  /// (extra query constants) never cross-adopt.
   MemoBoard* board_ = nullptr;
-  uint64_t domain_fp_ = 0;
 
   QueryGuard guard_;
   /// Approximate bytes held by all memoized states' models (contents plus

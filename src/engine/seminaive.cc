@@ -1,5 +1,6 @@
 #include "engine/seminaive.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/failpoint.h"
@@ -82,6 +83,14 @@ Status RunSemiNaive(const RuleBase& program, const std::vector<int>& group,
   Database delta(program.symbols_ptr());
   Database next_delta(program.symbols_ptr());
   std::vector<RuleVersion> versions;
+  // A group in which no rule designates a premise or watches a changing
+  // predicate hypothetically reads no round delta: round 0 is its whole
+  // fixpoint, and its facts need no copy into one.
+  const bool recursive =
+      std::any_of(group.begin(), group.end(), [&info](int r) {
+        return !info[r].delta_premises.empty() ||
+               !info[r].hypo_sensitive_preds.empty();
+      });
   bool first_round = true;
   while (true) {
     ++stats->fixpoint_rounds;
@@ -90,9 +99,10 @@ Status RunSemiNaive(const RuleBase& program, const std::vector<int>& group,
                   &versions);
     for (const RuleVersion& v : versions) {
       HYPO_RETURN_IF_ERROR(evaluate(v, v.delta_premise >= 0 ? &delta : nullptr,
-                                    &next_delta, &changed_now));
+                                    recursive ? &next_delta : nullptr,
+                                    &changed_now));
     }
-    if (changed_now.empty()) break;
+    if (!recursive || changed_now.empty()) break;
     *retired_index_builds += delta.index_builds();
     delta = std::move(next_delta);
     next_delta = Database(program.symbols_ptr());

@@ -48,8 +48,9 @@ struct RuleVersion {
 
 /// Evaluates one rule version. `delta` holds last round's new tuples for
 /// a version that designates a premise, null for a full instantiation.
-/// Each derived fact not yet in the model goes into the model and into
-/// `next_delta`, and its predicate into `changed`.
+/// Each derived fact not yet in the model goes into the model and, unless
+/// `next_delta` is null (a group no later round reads), into
+/// `next_delta`; its predicate goes into `changed`.
 using EvaluateVersionFn = std::function<Status(
     const RuleVersion& version, const Database* delta, Database* next_delta,
     std::unordered_set<PredicateId>* changed)>;
@@ -57,7 +58,9 @@ using EvaluateVersionFn = std::function<Status(
 /// Runs `group` to its fixpoint in semi-naive rounds: every rule in full
 /// in the first round; afterwards one version per positive premise whose
 /// predicate changed last round, or the full rule when one of its
-/// hypothetical premises watches a changed predicate of the group.
+/// hypothetical premises watches a changed predicate of the group. A
+/// group with neither (no rule reads the group's own heads) runs round 0
+/// alone, with a null `next_delta`.
 /// Counts rounds in `stats->fixpoint_rounds` and the index builds of the
 /// per-round delta relations, destroyed on return, in
 /// `*retired_index_builds`.

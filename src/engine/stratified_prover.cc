@@ -37,21 +37,45 @@ Status StratifiedProver::Init() {
   }
   HYPO_RETURN_IF_ERROR(TabledEngine::Init());
 
-  const int num_rules = rulebase_->num_rules();
-  delta_info_.assign(num_rules, RuleDeltaInfo());
-  delta_plans_.assign(num_rules, BodyPlan());
-  delta_programs_.assign(num_rules, {});
+  delta_info_.assign(rulebase_->num_rules(), RuleDeltaInfo());
   for (const std::vector<std::vector<int>>& substrata :
        strat_.delta_substrata) {
     for (const std::vector<int>& substratum : substrata) {
       ComputeRuleDeltaInfo(*rulebase_, substratum, &delta_info_);
     }
   }
+  BuildDeltaPrograms();
+  // Context ids restarted with the tabled Init's fresh overlay.
+  DropDeltaModels();
+  building_.assign(strat_.num_strata, nullptr);
+  return Status::OK();
+}
+
+Status StratifiedProver::ApplyBaseDelta(const BaseDelta& delta) {
+  HYPO_RETURN_IF_ERROR(TabledEngine::ApplyBaseDelta(delta));
+  // The tabled commit restarted the context ids the models are keyed by.
+  DropDeltaModels();
+  if (delta_planned_.Stale(*base_)) BuildDeltaPrograms();
+  return Status::OK();
+}
+
+void StratifiedProver::DropDeltaModels() {
+  delta_models_.clear();
+  delta_model_bytes_ = 0;
+  num_models_ = 0;
+}
+
+void StratifiedProver::BuildDeltaPrograms() {
+  const int num_rules = rulebase_->num_rules();
+  delta_plans_.assign(num_rules, BodyPlan());
+  delta_programs_.assign(num_rules, {});
+  delta_planned_.Clear();
   for (const std::vector<int>& rules : strat_.delta_rules) {
     for (int r : rules) {
       const Rule& rule = rulebase_->rule(r);
       delta_plans_[r] =
           BodyPlan::Build(rule.premises, &rule.head, rule.num_vars(), base_);
+      delta_planned_.Watch(*base_, rule.premises);
       vm::CompileInput in;
       in.premises = &rule.premises;
       in.plan = &delta_plans_[r];
@@ -66,12 +90,6 @@ Status StratifiedProver::Init() {
           static_cast<int64_t>(delta_programs_[r].size());
     }
   }
-  // Context ids restarted with the tabled Init's fresh overlay.
-  delta_models_.clear();
-  delta_model_bytes_ = 0;
-  num_models_ = 0;
-  building_.assign(strat_.num_strata, nullptr);
-  return Status::OK();
 }
 
 StatusOr<bool> StratifiedProver::ProveQuery(const Query& query) {
@@ -128,8 +146,10 @@ StatusOr<const Database*> StratifiedProver::DeltaModelFor(int stratum) {
                         return true;  // Keep enumerating.
                       }
                       ++stats_.facts_derived;
-                      next_delta->Insert(head);
-                      ++stats_.delta_facts;
+                      if (next_delta != nullptr) {
+                        next_delta->Insert(head);
+                        ++stats_.delta_facts;
+                      }
                       changed->insert(head.predicate);
                       return true;
                     });

@@ -41,6 +41,12 @@ class StratifiedProver : public TabledEngine {
                    EngineOptions options = EngineOptions());
 
   Status Init() override;
+
+  /// The tabled prover's commit (TabledEngine::ApplyBaseDelta), plus:
+  /// drops every Δ model, and recompiles the Δ rules' programs only when
+  /// a relation their plans watch left its 2x band.
+  Status ApplyBaseDelta(const BaseDelta& delta) override;
+
   StatusOr<bool> ProveQuery(const Query& query) override;
   StatusOr<std::vector<Tuple>> Answers(const Query& query) override;
 
@@ -84,6 +90,13 @@ class StratifiedProver : public TabledEngine {
   /// Index totals of the memoized Δ models.
   IndexTotals ModelIndexTotals() const;
 
+  /// Plans and compiles every Δ rule against the current base
+  /// cardinalities.
+  void BuildDeltaPrograms();
+
+  /// Drops every memoized Δ model.
+  void DropDeltaModels();
+
   LinearStratification strat_;
   /// Per Δ rule (indexed by rule; empty for Σ rules): its plan and its
   /// entry-unbound programs, the full version first, then one per
@@ -91,6 +104,8 @@ class StratifiedProver : public TabledEngine {
   std::vector<BodyPlan> delta_plans_;
   std::vector<std::vector<vm::Program>> delta_programs_;
   std::vector<RuleDeltaInfo> delta_info_;
+  /// The base cardinalities the Δ plans were ordered against.
+  PlannedCardinalities delta_planned_;
 
   std::unordered_map<DeltaKey, std::unique_ptr<Database>, DeltaKeyHash>
       delta_models_;

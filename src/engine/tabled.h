@@ -106,6 +106,14 @@ class TabledEngine : public Engine {
   /// results (kTrue, completed kFalse) are published back.
   void AttachMemoBoard(MemoBoard* board) override;
 
+  /// Follows a commit in O(batch): drops only what the base decides —
+  /// the goal memo, the call tables, the open SCC members, the overlay
+  /// with its context ids, and the board context map — and follows the
+  /// domain in place. Keeps the stratification and restriction checks,
+  /// the RestrictionAnalysis, the compiled adornments (unless a watched
+  /// cardinality left its 2x band) and the probe signatures.
+  Status ApplyBaseDelta(const BaseDelta& delta) override;
+
  protected:
   /// True iff `pred` is materialized. Predicates interned after Init (by
   /// queries) are extensional.
@@ -363,18 +371,28 @@ class TabledEngine : public Engine {
                                      visiting,
                                  std::vector<ProofNode>* children);
 
+  /// Drops every compiled adornment; they rebuild lazily against the
+  /// current cardinalities.
+  void DropPlans();
+
+  /// Drops every memo the base decides: goal memo, call tables, open SCC
+  /// members, the overlay (its context ids restart) and the board
+  /// context map.
+  void DropBaseState();
+
   /// Adorned plans by "pred:adornment"; ground_rules_ indexes the
-  /// all-bound ones by predicate. Both reset by Init().
+  /// all-bound ones by predicate. Both reset by DropPlans().
   std::unordered_map<std::string, std::unique_ptr<AdornedRules>> adorned_;
   std::vector<const AdornedRules*> ground_rules_;
+  /// The base cardinalities the adornments were planned against.
+  PlannedCardinalities planned_;
   /// Base scan signatures of every plan built so far; survives Init() so
   /// an epoch turn prepares what the previous epoch's queries probed.
   std::set<std::pair<PredicateId, ColumnMask>> probe_signatures_;
   /// Reusable VM frames, depth-indexed for re-entrant subproofs. Safe as
   /// an engine member: the engine serves one query at a time.
   vm::FrameStack vm_frames_;
-  std::vector<ConstId> domain_;
-  std::unordered_set<ConstId> domain_set_;
+  EngineDomain domain_;
   std::vector<ConstId> extra_constants_;
 
   std::unordered_map<GoalKey, GoalEntry, GoalKeyHash> goal_memo_;
@@ -390,7 +408,6 @@ class TabledEngine : public Engine {
   // Persistent cross-query cache (optional; see AttachMemoBoard).
   MemoBoard* board_ = nullptr;
   std::unique_ptr<RestrictionAnalysis> restrictions_;
-  uint64_t domain_fp_ = 0;
   std::vector<FactId> board_facts_;  // local FactId -> board id, -1 unknown.
   std::unordered_map<ContextId, ContextId> board_contexts_;
   std::vector<int64_t> board_elems_;  // Scratch for BoardContext.

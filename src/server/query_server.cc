@@ -367,7 +367,7 @@ StatusOr<MutationOutcome> QueryServer::ApplyBatch(
   }
 
   for (const Fact& f : delta.inserts) base_.Insert(f);
-  for (const Fact& f : delta.retracts) base_.Retract(f);
+  base_.RetractBatch(delta.retracts);
 
   // New epoch: re-prepare the engines' probe signatures over the mutated
   // relations, reseal, then let each engine repair its memoized models.
@@ -544,6 +544,7 @@ std::string QueryServer::CanonicalState() const {
 Status QueryServer::ApplyRecoveredRecords(
     const std::vector<JournalRecord>& records) {
   for (const JournalRecord& rec : records) {
+    std::vector<Fact> retracts;
     auto apply = [&](const auto& named, bool insert) -> Status {
       for (const auto& [pred, args] : named) {
         auto id = symbols_->InternPredicate(pred,
@@ -563,13 +564,14 @@ Status QueryServer::ApplyRecoveredRecords(
         if (insert) {
           base_.Insert(fact);
         } else {
-          base_.Retract(fact);
+          retracts.push_back(std::move(fact));
         }
       }
       return Status::OK();
     };
     if (Status s = apply(rec.inserts, true); !s.ok()) return s;
     if (Status s = apply(rec.retracts, false); !s.ok()) return s;
+    base_.RetractBatch(retracts);
   }
   return Status::OK();
 }

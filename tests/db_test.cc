@@ -330,24 +330,24 @@ TEST_F(DbTest, SortedIndexSurvivesUnsealResealCycles) {
   EXPECT_EQ(db.index_sort_micros(), sort_micros_after_first_seal);
   EXPECT_EQ(db.ProbeIndex(edge, 0b1, {a}).count, 1u);
 
-  // Mutation bumps the version: the next seal re-sorts and the probe
-  // sees the new tuple.
+  // An insert leaves the permutation short of the relation: the next seal
+  // merges the new row in and the probe sees it.
   db.Insert(MakeFact("edge", {"a", "c"}));
   EXPECT_FALSE(db.sealed());
   db.SealIndexes();
   EXPECT_EQ(db.ProbeIndex(edge, 0b1, {a}).count, 2u);
 
-  // Retract drops the relation's indexes (row ids shift); a sealed probe
-  // without re-preparation degrades to a correct full scan. Re-preparing
-  // before the reseal — the server's epoch flow — restores the range.
+  // Retract patches the permutation in place (row ids shift down), so the
+  // reseal needs no re-preparation and no re-sort: the sealed probe is
+  // still a sorted range, now over the renumbered survivor.
+  const int64_t builds_before_retract = db.index_builds();
   ASSERT_TRUE(db.Retract(MakeFact("edge", {"a", "b"})));
   db.SealIndexes();
-  EXPECT_EQ(db.ProbeIndex(edge, 0b1, {a}), Database::ScanAllMarker());
-  db.UnsealIndexes();
-  db.PrepareIndex(edge, 0b1);
-  db.SealIndexes();
+  EXPECT_EQ(db.index_builds(), builds_before_retract);
   Database::RowRange range = db.ProbeIndex(edge, 0b1, {a});
+  ASSERT_FALSE(range.scan_all);
   ASSERT_EQ(range.count, 1u);
+  EXPECT_EQ(range.data[0], 0);
   EXPECT_EQ(symbols_->ConstName(db.TuplesFor(edge).At(range.data[0], 1)),
             "c");
 }
@@ -433,6 +433,59 @@ TEST_F(DbTest, ColumnarConstantDomainShrinksAfterRetract) {
       << "a is still referenced twice by edge(a, a)";
   db_.Clear();
   EXPECT_TRUE(db_.constants().empty());
+}
+
+TEST_F(DbTest, RetractBatchThatEmptiesARelation) {
+  // One batch retracts every edge, one of two marks, a duplicate and an
+  // absent fact. edge disappears with its indexes and constants; mark
+  // keeps its patched sorted index through the reseal, with no
+  // re-preparation and every byte counted.
+  Database db(symbols_);
+  db.EnableSortedIndexes();
+  const std::vector<Fact> edges = {MakeFact("edge", {"a", "b"}),
+                                   MakeFact("edge", {"b", "c"}),
+                                   MakeFact("edge", {"c", "a"})};
+  for (const Fact& f : edges) ASSERT_TRUE(db.Insert(f));
+  const Fact mark_a = MakeFact("mark", {"a"});
+  const Fact mark_d = MakeFact("mark", {"d"});
+  ASSERT_TRUE(db.Insert(mark_a));
+  ASSERT_TRUE(db.Insert(mark_d));
+  const PredicateId edge = edges[0].predicate;
+  const PredicateId mark = mark_a.predicate;
+  db.PrepareIndex(edge, 0b01);
+  db.PrepareIndex(mark, 0b1);
+  db.SealIndexes();
+
+  std::vector<Fact> batch = edges;
+  batch.push_back(mark_a);
+  batch.push_back(edges[1]);                      // Duplicate.
+  batch.push_back(MakeFact("edge", {"d", "d"}));  // Absent.
+  EXPECT_EQ(db.RetractBatch(batch), 4);
+  EXPECT_FALSE(db.sealed());
+  EXPECT_EQ(db.size(), 1);
+  EXPECT_EQ(db.CountFor(edge), 0);
+  EXPECT_TRUE(db.TuplesFor(edge).empty());
+  EXPECT_EQ(db.NonEmptyPredicates(), std::vector<PredicateId>{mark});
+  EXPECT_EQ(db.constants(),
+            std::unordered_set<ConstId>{symbols_->FindConst("d")});
+  for (const Fact& f : edges) EXPECT_FALSE(db.Contains(f));
+
+  db.SealIndexes();
+  EXPECT_EQ(db.ArenaBytes(), db.ApproxBytes());
+  Database::RowRange range =
+      db.ProbeIndex(mark, 0b1, {symbols_->FindConst("d")});
+  ASSERT_FALSE(range.scan_all);
+  ASSERT_EQ(range.count, 1u);
+  EXPECT_EQ(range.data[0], 0);
+  EXPECT_TRUE(db.ProbeIndex(mark, 0b1, {symbols_->FindConst("a")}).empty());
+
+  // The emptied relation comes back like a new one.
+  db.UnsealIndexes();
+  ASSERT_TRUE(db.Insert(edges[2]));
+  db.PrepareIndex(edge, 0b01);
+  db.SealIndexes();
+  EXPECT_EQ(db.ProbeIndex(edge, 0b01, {symbols_->FindConst("c")}).count, 1u);
+  EXPECT_EQ(db.ArenaBytes(), db.ApproxBytes());
 }
 
 TEST_F(DbTest, ZeroArityRelation) {

@@ -10,8 +10,10 @@
 #include "analysis/stratification.h"
 #include "ast/printer.h"
 #include "engine/bottom_up.h"
+#include "engine/memo_board.h"
 #include "engine/stratified_prover.h"
 #include "engine/tabled.h"
+#include "parser/parser.h"
 #include "queries/parity.h"
 #include "reference_eval.h"
 #include "workload/random_programs.h"
@@ -434,6 +436,150 @@ TEST(DifferentialTest, IncrementalDeltaMatchesRebuildAcrossInterleavings) {
       << "too many interleavings skipped on resource limits";
   EXPECT_GE(negated_repairs, 10)
       << "no negated-premise delta was repaired incrementally";
+}
+
+TEST(DifferentialTest, DomainChangingCommitsMatchFreshEngines) {
+  // Commits that move dom(R, DB), with no PinDomain: they insert facts
+  // naming brand-new constants and retract every fact naming a constant,
+  // so it leaves the domain. Random programs get a rule pair that
+  // enumerates the domain under negation, so a stale domain shows in the
+  // answers. Two engines per config share one MemoBoard and take every
+  // commit as the server pool does; after each, both must answer like a
+  // fresh engine over the mutated database, and (validate_contexts) each
+  // ApplyBaseDelta checks its maintained domain against ComputeDomain.
+  const char* const kConfigs[] = {"tabled", "stratified", "bottomup"};
+  RandomProgramOptions options;
+  options.num_rules = 5;
+  options.hypothetical_probability = 0.2;
+  options.negation_probability = 0.4;
+  EngineOptions engine_options;
+  engine_options.max_states = 40'000;
+  engine_options.max_steps = 300'000;
+  EngineOptions live_options = engine_options;
+  live_options.validate_contexts = true;
+
+  int compared = 0;
+  int grew = 0;
+  int shrank = 0;
+  for (const std::string config : kConfigs) {
+    for (uint64_t seed = 800; seed < 840; ++seed) {
+      Random rng(seed);
+      ProgramFixture fixture = MakeRandomProgram(options, &rng);
+      SymbolTable& symbols = *fixture.symbols;
+      auto domain_rules = ParseRuleBase(
+          "r(X) <- ~s(X).\nall_s <- ~r(X).\n", fixture.symbols);
+      ASSERT_TRUE(domain_rules.ok()) << domain_rules.status();
+      ASSERT_TRUE(fixture.rules.Merge(*domain_rules).ok());
+      const PredicateId s_pred = symbols.FindPredicate("s");
+      for (int c = 0; c < options.num_constants; c += 2) {
+        fixture.db.Insert(
+            Fact{s_pred, {symbols.FindConst("c" + std::to_string(c))}});
+      }
+      if (config == "stratified" &&
+          !CheckLinearlyStratifiable(fixture.rules).ok()) {
+        continue;
+      }
+      const std::string label = config + " seed " + std::to_string(seed);
+      MemoBoard board;
+      std::unique_ptr<Engine> live[2];
+      for (auto& engine : live) {
+        engine = MakeEngine(config, &fixture.rules, &fixture.db, live_options)
+                     .value();
+        ASSERT_TRUE(engine->Init().ok()) << label;
+        engine->AttachMemoBoard(&board);
+      }
+      int fresh_constants = 0;
+      bool skipped = false;
+      for (int step = 0; step < 6 && !skipped; ++step) {
+        const std::vector<ConstId> before =
+            ComputeDomain(fixture.rules, fixture.db);
+        BaseDelta delta;
+        std::vector<Fact> retracts;
+        if (step % 2 == 0) {
+          // New constants: s(nK), and an EDB fact naming nK next to an
+          // existing constant.
+          const ConstId fresh =
+              symbols.InternConst("n" + std::to_string(fresh_constants++));
+          Fact named{s_pred, {fresh}};
+          if (rng.Uniform(2) == 0 && fixture.db.Insert(named)) {
+            delta.inserts.push_back(named);
+          }
+          Fact edb = RandomGroundFact(symbols, "e", options.num_edb_predicates,
+                                      options.num_constants, &rng);
+          if (edb.predicate != kInvalidPredicate && !edb.args.empty()) {
+            edb.args[rng.Uniform(edb.args.size())] = fresh;
+            if (fixture.db.Insert(edb)) delta.inserts.push_back(edb);
+          }
+        } else {
+          // A constant's last occurrences: every stored fact naming it.
+          std::vector<ConstId> named(fixture.db.constants().begin(),
+                                     fixture.db.constants().end());
+          std::sort(named.begin(), named.end());
+          if (!named.empty()) {
+            const ConstId gone = named[rng.Uniform(named.size())];
+            fixture.db.ForEach([&](const Fact& f) {
+              if (std::count(f.args.begin(), f.args.end(), gone) > 0) {
+                retracts.push_back(f);
+              }
+            });
+          }
+        }
+        // Some commits also retract an ordinary fact.
+        if (rng.Uniform(3) == 0 && !fixture.db.empty()) {
+          std::vector<Fact> pool;
+          fixture.db.ForEach([&](const Fact& f) { pool.push_back(f); });
+          retracts.push_back(pool[rng.Uniform(pool.size())]);
+        }
+        std::sort(retracts.begin(), retracts.end());
+        retracts.erase(std::unique(retracts.begin(), retracts.end()),
+                       retracts.end());
+        ASSERT_EQ(fixture.db.RetractBatch(retracts),
+                  static_cast<int64_t>(retracts.size()));
+        delta.retracts = retracts;
+        const std::vector<ConstId> after =
+            ComputeDomain(fixture.rules, fixture.db);
+        grew += after.size() > before.size();
+        shrank += after.size() < before.size();
+
+        board.BeginEpoch(step + 1);
+        for (auto& engine : live) {
+          Status applied = engine->ApplyBaseDelta(delta);
+          ASSERT_TRUE(applied.ok()) << label << " step " << step << ": "
+                                    << applied;
+        }
+        std::unique_ptr<Engine> fresh =
+            MakeEngine(config, &fixture.rules, &fixture.db, engine_options)
+                .value();
+        auto expected = AnswerAll(fresh.get(), fixture.rules);
+        if (!expected.ok()) {
+          ASSERT_EQ(expected.status().code(), StatusCode::kResourceExhausted);
+          skipped = true;
+          break;
+        }
+        // Either pooled engine may serve first and publish to the board.
+        for (int k = 0; k < 2; ++k) {
+          Engine* engine = live[(step + k) % 2].get();
+          auto got = AnswerAll(engine, fixture.rules);
+          if (!got.ok()) {
+            ASSERT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+            skipped = true;
+            break;
+          }
+          EXPECT_EQ(*got, *expected)
+              << label << " step " << step << " engine " << k
+              << " diverged after " << delta.inserts.size() << " inserts / "
+              << delta.retracts.size() << " retracts, program:\n"
+              << RuleBaseToString(fixture.rules);
+          ++compared;
+        }
+      }
+    }
+  }
+  std::printf("[domain commits] compared=%d grew=%d shrank=%d\n", compared,
+              grew, shrank);
+  EXPECT_GE(compared, 500) << "too many programs skipped on resource limits";
+  EXPECT_GE(grew, 50) << "too few commits grew the domain";
+  EXPECT_GE(shrank, 50) << "too few commits shrank the domain";
 }
 
 /// Sorted answers of `query`, or nullopt (a skip) on a resource trip.

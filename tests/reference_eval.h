@@ -44,6 +44,13 @@ class ReferenceEngine : public Engine {
   StatusOr<bool> ProveQuery(const Query& query) override;
   StatusOr<std::vector<Tuple>> Answers(const Query& query) override;
 
+  /// Rereads the base on the next query: the oracle keeps nothing
+  /// incremental to repair.
+  Status ApplyBaseDelta(const BaseDelta&) override {
+    initialized_ = false;
+    return Status::OK();
+  }
+
   const EngineStats& stats() const override { return stats_; }
   void ResetStats() override { stats_ = EngineStats(); }
   std::string name() const override { return "reference"; }
